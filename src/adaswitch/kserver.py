@@ -4,11 +4,14 @@ Each period brings one request point (or the empty request).  Serving moves
 one chosen server to the request and costs the moved distance; distances
 live in [0, 1] so L = 1 and the objective is minimization.  The exact
 offline solver reduces the window to a minimum-cost maximum-flow over
-server-to-request chains.  Two online policies are provided: the work
-function algorithm for general metrics and the randomized marking rule for
-the uniform metric, both restartable from any mid-stream configuration
-because a conditioned instance is just a fresh instance started at the
-post-prefix configuration.
+server-to-request chains; the switching runner needs that plan only when it
+replans.  Window values (the conservative monitor and the whole-horizon
+optimum) come from the work function instead, one table layer per request,
+with the flow as the fallback where the work function would cost more.
+Two online policies are provided: the work function algorithm for general
+metrics and the randomized marking rule for the uniform metric, both
+restartable from any mid-stream configuration because a conditioned
+instance is just a fresh instance started at the post-prefix configuration.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ from .switching import (
     OfflineOracle,
     OnlineOracle,
     OnlinePolicy,
+    WindowMonitor,
     run_adaswitch_cost,
     theoretical_bound,
+    validate_config,
 )
 
 BOT = None  # the empty request
@@ -200,37 +205,45 @@ def _min_cost_flow(net: _FlowNetwork, source: int, sink: int, units: int) -> Non
     node order, so the initial potentials come from one topological pass;
     afterwards reduced costs stay nonnegative and Dijkstra applies."""
     n = net.n
+    head, to, cap, cost = net.head, net.to, net.cap, net.cost
+    heappush, heappop = heapq.heappush, heapq.heappop
     INF = math.inf
     potential = [INF] * n
     potential[source] = 0.0
     # Nodes are created in topological order (every arc goes forward).
     for u in range(n):
-        if potential[u] == INF:
+        p_u = potential[u]
+        if p_u == INF:
             continue
-        for idx in net.head[u]:
-            if net.cap[idx] > 0 and net.to[idx] > u:
-                v = net.to[idx]
-                potential[v] = min(potential[v], potential[u] + net.cost[idx])
+        for idx in head[u]:
+            v = to[idx]
+            if cap[idx] > 0 and v > u:
+                p_v = p_u + cost[idx]
+                if p_v < potential[v]:
+                    potential[v] = p_v
     for _ in range(units):
         dist = [INF] * n
         parent = [-1] * n
         dist[source] = 0.0
         heap = [(0.0, source)]
         while heap:
-            d_u, u = heapq.heappop(heap)
+            d_u, u = heappop(heap)
             if d_u > dist[u] + 1e-12:
                 continue
-            for idx in net.head[u]:
-                if net.cap[idx] <= 0:
+            d_u = dist[u]
+            p_u = potential[u]
+            for idx in head[u]:
+                if cap[idx] <= 0:
                     continue
-                v = net.to[idx]
-                reduced = net.cost[idx] + potential[u] - potential[v]
+                v = to[idx]
+                reduced = cost[idx] + p_u - potential[v]
                 if reduced < 0:
                     reduced = 0.0  # numerical guard
-                if dist[u] + reduced < dist[v] - 1e-12:
-                    dist[v] = dist[u] + reduced
+                d_v = d_u + reduced
+                if d_v < dist[v] - 1e-12:
+                    dist[v] = d_v
                     parent[v] = idx
-                    heapq.heappush(heap, (dist[v], v))
+                    heappush(heap, (d_v, v))
         if dist[sink] == INF:
             raise RuntimeError("internal error: flow network infeasible")
         for v in range(n):
@@ -239,9 +252,9 @@ def _min_cost_flow(net: _FlowNetwork, source: int, sink: int, units: int) -> Non
         v = sink
         while v != source:
             idx = parent[v]
-            net.cap[idx] -= 1
-            net.cap[idx ^ 1] += 1
-            v = net.to[idx ^ 1]
+            cap[idx] -= 1
+            cap[idx ^ 1] += 1
+            v = to[idx ^ 1]
 
 
 def offline_kserver(metric: MetricSpace, positions: Sequence[str],
@@ -267,28 +280,45 @@ def offline_kserver(metric: MetricSpace, positions: Sequence[str],
     net = _FlowNetwork(n_nodes)
     req_in = lambda j: 1 + k + 2 * j
     req_out = lambda j: 1 + k + 2 * j + 1
+    # Movement costs come from rows of the distance matrix; requests are
+    # real points here, where metric.d is exactly this lookup.
+    dist, index = metric.dist, metric.index
+    cols = [index[e] for _, e in reqs]
     for i in range(k):
         net.add(0, 1 + i, 1, 0.0)
         net.add(1 + i, sink, 1, 0.0)
-        for j, (_, e) in enumerate(reqs):
-            net.add(1 + i, req_in(j), 1, metric.d(positions[i], e))
+        row = dist[index[positions[i]]]
+        for j, col in enumerate(cols):
+            net.add(1 + i, req_in(j), 1, row[col])
+    head, to, cap, arc_cost = net.head, net.to, net.cap, net.cost
     service_arcs = []
-    for j, (_, e) in enumerate(reqs):
+    for j, col in enumerate(cols):
         service_arcs.append(net.add(req_in(j), req_out(j), 1, -bonus))
-        net.add(req_out(j), sink, 1, 0.0)
-        for j2 in range(j + 1, W):
-            net.add(req_out(j), req_in(j2), 1, metric.d(e, reqs[j2][1]))
+        out = req_out(j)
+        net.add(out, sink, 1, 0.0)
+        # The O(W^2) chain arcs, with _FlowNetwork.add inlined.
+        row = dist[col]
+        out_head = head[out]
+        idx = len(to)
+        for v, col2 in zip(range(req_in(j + 1), sink, 2), cols[j + 1:]):
+            d = row[col2]
+            out_head.append(idx)
+            head[v].append(idx + 1)
+            idx += 2
+            to += (v, out)
+            cap += (1, 0)
+            arc_cost += (d, -d)
     _min_cost_flow(net, 0, sink, k)
-    if any(net.cap[idx] != 0 for idx in service_arcs):
+    if any(cap[idx] != 0 for idx in service_arcs):
         raise RuntimeError("internal error: some request left unserved")
     # Decode chains: follow saturated forward arcs from each server node.
     for i in range(k):
         node = 1 + i
         while True:
             nxt = None
-            for idx in net.head[node]:
-                if idx % 2 == 0 and net.cap[idx] == 0 and net.to[idx] != sink:
-                    target = net.to[idx]
+            for idx in head[node]:
+                if idx % 2 == 0 and cap[idx] == 0 and to[idx] != sink:
+                    target = to[idx]
                     if target > node and (target - (1 + k)) % 2 == 0:
                         nxt = target
                         break
@@ -305,6 +335,9 @@ def offline_kserver(metric: MetricSpace, positions: Sequence[str],
 
 
 class KserverOfflineOracle(OfflineOracle):
+    """Flow plans; window values from the work function where it is cheaper
+    (see :class:`WorkFunctionMonitor`), from the flow elsewhere."""
+
     gamma = 1.0
 
     def __init__(self, metric: MetricSpace):
@@ -313,9 +346,31 @@ class KserverOfflineOracle(OfflineOracle):
     def solve(self, sim: Simulator, t0: int, window: Sequence[Any]) -> tuple[float, list]:
         return offline_kserver(self.metric, sim.positions, window, t0)
 
+    def _work_function_fits(self, k: int) -> bool:
+        if k > _MAX_MATCHING_K:
+            return False
+        configs = math.comb(len(self.metric.points) + k - 2, k - 1)
+        return configs ** 2 * math.factorial(k) <= _WORK_FUNCTION_MAX_STEP
+
+    def monitor(self, sim: Simulator, t0: int) -> WindowMonitor:
+        if self._work_function_fits(len(sim.positions)):
+            return WorkFunctionMonitor(self.metric, sim.positions)
+        return super().monitor(sim, t0)
+
+    def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
+        if not self._work_function_fits(len(sim.positions)):
+            return super().value(sim, t0, window)
+        monitor = WorkFunctionMonitor(self.metric, sim.positions)
+        for i, e in enumerate(window):
+            monitor.append(t0 + i, e)
+        return monitor.value
+
 
 # ---------------------------------------------------------------------------
 # Work function algorithm (general metrics).
+
+
+_MAX_MATCHING_K = 6
 
 
 def config_distance(metric: MetricSpace, a: Sequence[str], b: Sequence[str]) -> float:
@@ -324,13 +379,27 @@ def config_distance(metric: MetricSpace, a: Sequence[str], b: Sequence[str]) -> 
     k = len(a)
     if k != len(b):
         raise ValueError("configurations must have equal size")
-    if k > 6:
-        raise OracleTooLargeError(f"configuration matching limited to k <= 6, got {k}")
+    _check_matching_size(k)
+    index = metric.index
+    return _transport([metric.dist[index[p]] for p in a], [index[p] for p in b],
+                      itertools.permutations(range(k)))
+
+
+def _check_matching_size(k: int) -> None:
+    if k > _MAX_MATCHING_K:
+        raise OracleTooLargeError(
+            f"configuration matching limited to k <= {_MAX_MATCHING_K}, got {k}")
+
+
+def _transport(rows: Sequence[Sequence[float]], cols: Sequence[int], perms) -> float:
+    """Minimum over the matchings in ``perms`` of the distances summed in
+    server order; ``rows`` are the source points' distance rows and
+    ``cols`` the target points' indices."""
     best = math.inf
-    for perm in itertools.permutations(range(k)):
+    for perm in perms:
         total = 0.0
-        for i in range(k):
-            total += metric.d(a[i], b[perm[i]])
+        for row, j in zip(rows, perm):
+            total += row[cols[j]]
             if total >= best:
                 break
         best = min(best, total)
@@ -354,19 +423,54 @@ class WorkFunctionTable:
         self.k = len(initial)
         self.cap = cap
         self.values: dict[tuple, float] = {tuple(sorted(initial)): 0.0}
+        self._covering: dict[str, list[tuple]] = {}
+        self._perms: Optional[list[tuple]] = None
 
     def advance(self, e: str) -> dict[tuple, float]:
-        candidates = _configs_containing(self.metric, self.k, e)
+        candidates = self._covering.get(e)
+        if candidates is None:
+            candidates = _configs_containing(self.metric, self.k, e)
+            self._covering[e] = candidates
         if len(candidates) > self.cap:
             raise OracleTooLargeError(
                 f"{len(candidates)} configurations exceed cap {self.cap}")
+        if self._perms is None:
+            _check_matching_size(self.k)
+            self._perms = list(itertools.permutations(range(self.k)))
+        perms = self._perms
+        dist, index = self.metric.dist, self.metric.index
+        prev = [([dist[index[p]] for p in cfg], w) for cfg, w in self.values.items()]
         new_values = {}
         for cfg in candidates:
-            new_values[cfg] = min(
-                w + config_distance(self.metric, prev, cfg)
-                for prev, w in self.values.items())
+            cols = [index[p] for p in cfg]
+            new_values[cfg] = min(w + _transport(rows, cols, perms) for rows, w in prev)
         self.values = new_values
         return new_values
+
+
+# Largest work per request, C(n+k-2, k-1)^2 * k! (configurations covering
+# the request, times those covering the previous one, times the matchings
+# tried), for which the work-function monitor is used.  On 60-request
+# uniform windows it matched re-solving the flow on every append at
+# 1600-3000 for k = 2..5 (see CHANGES.md); beyond that the flow is cheaper.
+_WORK_FUNCTION_MAX_STEP = 2000
+
+
+class WorkFunctionMonitor(WindowMonitor):
+    """Window optimum as the minimum of the work function (Koutsoupias and
+    Papadimitriou 1995): the cheapest cost of serving the window from the
+    start positions and ending in any configuration, which equals the flow
+    optimum.  One table layer per non-empty request replaces a whole flow
+    re-solve per append."""
+
+    def __init__(self, metric: MetricSpace, positions: Sequence[str]):
+        self.table = WorkFunctionTable(metric, positions)
+        self.value = 0.0
+
+    def append(self, t: int, request: Any) -> float:
+        if request is not BOT:
+            self.value = min(self.table.advance(request).values())
+        return self.value
 
 
 def wfa_step(table: WorkFunctionTable, current: Sequence[str],
@@ -510,6 +614,10 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
         if any(seq.at(t) is BOT for t in range(1, seq.support_length + 1)):
             raise ValueError(f"{label} must have consecutive support "
                              f"(no interior empty requests)")
+        for t, e in enumerate(seq.items, start=1):
+            if e is not BOT and e not in metric.index:
+                raise ValueError(f"{label} period {t}: unknown point {e!r} "
+                                 f"(not in the metric)")
     if variant == "caching":
         if not metric.uniform_flag:
             raise ContractError("caching variant requires the uniform metric")
@@ -523,9 +631,16 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(k), seed=seed,
+                             objective=MINIMIZE, oracle_kind="exact",
+                             monte_carlo_cap=monte_carlo_cap)
+    validate_config(config, online.eta, 1.0)
+
     horizon = requests.effective_length
     sim = problem.new_simulator()
-    traj = Trajectory()
+    served: list[Any] = []
+    servers: list[int] = []
+    costs: list[float] = []
     t0 = None
     for t in range(1, horizon + 1):
         e = requests.at(t)
@@ -536,13 +651,14 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
         if covering is None:
             t0 = t
             break
-        r = sim.step(t, e, covering)
-        traj = traj.extended(e, covering, r)
+        served.append(e)
+        servers.append(covering)
+        costs.append(sim.step(t, e, covering))
+    traj = Trajectory(tuple(served), tuple(servers), tuple(costs))
 
     offline = KserverOfflineOracle(metric)
     if t0 is None:
-        opt, _ = offline_kserver(metric, initial.positions,
-                                 requests.window(1, horizon))
+        opt = offline.value(problem.new_simulator(), 1, requests.window(1, horizon))
         report = CompetitiveReport(
             instance_id=instance_id, seed=seed,
             variant=f"adaswitch-{'ca' if variant == 'caching' else 'kse'}",
@@ -553,9 +669,6 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
             trajectory=traj)
         return report
 
-    config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(k), seed=seed,
-                             objective=MINIMIZE, oracle_kind="exact",
-                             monte_carlo_cap=monte_carlo_cap)
     report = run_adaswitch_cost(problem, requests, prediction, offline, online,
                                 config, start_prefix=traj, instance_id=instance_id)
     report.variant = f"adaswitch-{'ca' if variant == 'caching' else 'kse'}"
@@ -576,14 +689,14 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
     return report
 
 
+def make_requests(points: Sequence[Optional[str]]) -> RequestSequence:
+    return RequestSequence(list(points), null_request=BOT)
+
+
 def _coerce(requests) -> RequestSequence:
     if isinstance(requests, RequestSequence):
         return requests
-    return RequestSequence(list(requests), null_request=BOT)
-
-
-def make_requests(points: Sequence[Optional[str]]) -> RequestSequence:
-    return RequestSequence(list(points), null_request=BOT)
+    return make_requests(requests)
 
 
 # ---------------------------------------------------------------------------

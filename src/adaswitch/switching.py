@@ -135,6 +135,11 @@ def validate_config(config: AdaSwitchConfig, eta: float, gamma: float) -> None:
         raise ConfigurationError("regret-based switching requires the exact offline oracle")
     if config.switching_mode == REGRET_BASED and config.objective != MAXIMIZE:
         raise ConfigurationError("regret-based switching is defined for the reward objective")
+    # Every comparison below is false on NaN, so non-finite values would pass.
+    for name in ("epsilon", "b", "c", "alpha"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if not (config.c >= config.b >= 1):
         raise ConfigurationError(f"need c >= b >= 1, got c={config.c}, b={config.b}")
     if config.epsilon <= 0:
@@ -190,13 +195,18 @@ class OfflineOracle:
 
     ``solve`` returns ``(value, actions)`` for the window starting at
     absolute period ``t0``; ``gamma`` is its approximation guarantee
-    (1.0 for exact oracles).  The simulator passed in may be consumed.
+    (1.0 for exact oracles).  ``value`` is the same value without the plan,
+    for oracles that can compute it more cheaply.  The simulator passed in
+    may be consumed.
     """
 
     gamma: float = 1.0
 
     def solve(self, sim: Simulator, t0: int, window: Sequence[Any]) -> tuple[float, list]:
         raise NotImplementedError
+
+    def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
+        return self.solve(sim, t0, window)[0]
 
     def monitor(self, sim: Simulator, t0: int) -> WindowMonitor:
         return ResolveMonitor(self, sim, t0)
@@ -461,8 +471,8 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     phi_star = sequence_distance(problem, requests, prediction, cap=cap).capped_total
     prefix_val = start_prefix.cumulative if start_prefix is not None else 0.0
 
-    opt_value, _ = offline_oracle.solve(problem.new_simulator(), 1,
-                                        requests.window(1, horizon))
+    opt_value = offline_oracle.value(problem.new_simulator(), 1,
+                                     requests.window(1, horizon))
     report = CompetitiveReport(
         instance_id=instance_id, seed=config.seed,
         variant=f"exact-{config.objective}",

@@ -27,6 +27,7 @@ from .framework import (
 )
 from .switching import (
     AdaSwitchConfig,
+    ResolveMonitor,
     stream,
     theoretical_bound,
     threshold_table,
@@ -596,6 +597,47 @@ def prop_kserver_constants(scale: float = 1.0, seed: int = 306,
     return PropertyResult("kserver/constants", True)
 
 
+def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
+                                      trials: int = 40) -> PropertyResult:
+    """The oracle's window monitor and whole-window value equal the flow
+    optimum on every prefix: exactly on uniform metrics (empty requests
+    included), within 1e-9 on general metrics, and also where the oracle
+    falls back to re-solving the flow (k = 7)."""
+    name = "kserver/monitor-matches-flow"
+    rng = random.Random(seed)
+    cases = []  # (metric, positions, window, tolerance, expect the fallback)
+    for trial in range(_scaled(trials, scale)):
+        n = rng.randint(2, 5)
+        metric = ks.MetricSpace.uniform([f"p{i}" for i in range(n)])
+        positions = tuple(rng.choice(metric.points) for _ in range(rng.randint(1, 3)))
+        window = [rng.choice(metric.points) if rng.random() < 0.8 else ks.BOT
+                  for _ in range(rng.randint(1, 12))]
+        cases.append((metric, positions, window, 0.0, False))
+        metric, initial, requests = random_kserver_instance(rng, max_window=10)
+        cases.append((metric, initial.positions, requests, 1e-9, False))
+    metric = ks.MetricSpace.uniform([f"p{i}" for i in range(9)])
+    cases.append((metric, metric.points[:7],
+                  [rng.choice(metric.points) for _ in range(6)] + [ks.BOT], 0.0, True))
+    for metric, positions, window, tol, fallback in cases:
+        oracle = ks.KserverOfflineOracle(metric)
+        sim = ks.KserverSimulator(metric, positions)
+        monitor = oracle.monitor(sim, 1)
+        if isinstance(monitor, ResolveMonitor) != fallback:
+            return PropertyResult(
+                name, False, f"k={len(positions)} n={len(metric.points)}: got "
+                f"{type(monitor).__name__}, fallback expected={fallback}")
+        for m in range(1, len(window) + 1):
+            watched = monitor.append(m, window[m - 1])
+            whole = oracle.value(sim.clone(), 1, window[:m])
+            flow, _ = ks.offline_kserver(metric, positions, window[:m])
+            if abs(watched - flow) > tol or abs(whole - flow) > tol:
+                return PropertyResult(
+                    name, False,
+                    f"dist={metric.dist} S={positions} window={window[:m]} "
+                    f"monitor={watched!r} value={whole!r} flow={flow!r}")
+    return PropertyResult(name, True)
+
+
 # ---------------------------------------------------------------------------
 # orra suite
 
@@ -882,6 +924,7 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_wfa_guarantee,
         prop_kserver_prefix_equivalence,
         prop_kserver_constants,
+        prop_kserver_monitor_matches_flow,
     ],
     "orra": [
         prop_orra_dp_exactness,

@@ -8,9 +8,11 @@ import pytest
 from adaswitch import ContractError
 from adaswitch import kserver as ks
 from adaswitch.kserver import BOT
+from adaswitch.switching import ResolveMonitor
 from adaswitch.validation import (
     prop_config_distance_metric,
     prop_kserver_constants,
+    prop_kserver_monitor_matches_flow,
     prop_kserver_offline_exactness,
     prop_kserver_prefix_equivalence,
     prop_lazy_dominance,
@@ -79,6 +81,33 @@ class TestOfflineFlow:
 
     def test_prefix_equivalence_property(self):
         assert prop_kserver_prefix_equivalence().ok
+
+
+class TestOracleValues:
+    def test_monitor_matches_flow_property(self):
+        result = prop_kserver_monitor_matches_flow()
+        assert result.ok, result.detail
+
+    def test_work_function_monitor_on_small_instances(self):
+        oracle = ks.KserverOfflineOracle(LINE)
+        monitor = oracle.monitor(ks.KserverSimulator(LINE, ["p0", "p1"]), 1)
+        assert isinstance(monitor, ks.WorkFunctionMonitor)
+        window = [BOT, "p05", BOT, "p1", "p0"]
+        values = [monitor.append(t, e) for t, e in enumerate(window, start=1)]
+        assert values == [0.0, 0.5, 0.5, 0.5, 1.0]
+
+    def test_value_matches_flow_on_line(self):
+        oracle = ks.KserverOfflineOracle(LINE)
+        sim = ks.KserverSimulator(LINE, ["p0"])
+        assert oracle.value(sim, 1, ["p05", "p1", BOT]) == 1.0
+        assert oracle.value(sim, 1, []) == 0.0
+
+    def test_falls_back_to_resolving_when_k_exceeds_matching_limit(self):
+        m = ks.MetricSpace.uniform([f"p{i}" for i in range(8)])
+        oracle = ks.KserverOfflineOracle(m)
+        monitor = oracle.monitor(ks.KserverSimulator(m, m.points[:7]), 1)
+        assert isinstance(monitor, ResolveMonitor)
+        assert monitor.append(1, "p7") == 1.0
 
 
 class TestWorkFunction:
@@ -196,6 +225,17 @@ class TestAdaswitchKse:
         with pytest.raises(ValueError, match="consecutive"):
             ks.adaswitch_kse(m, ks.ServerConfig(("a",)), ["b", BOT, "b"],
                              ["b", BOT, "b"], variant="caching")
+
+    def test_rejects_unknown_request_point(self):
+        m = ks.MetricSpace.uniform(["a", "b"])
+        with pytest.raises(ValueError, match="requests period 2: unknown point 'zz'"):
+            ks.adaswitch_kse(m, ks.ServerConfig(("a",)), ["b", "zz"], ["b", "a"],
+                             variant="caching")
+
+    def test_rejects_unknown_prediction_point(self):
+        with pytest.raises(ValueError, match="prediction period 3: unknown point 'q'"):
+            ks.adaswitch_kse(LINE, ks.ServerConfig(("p0",)), ["p1", "p0", "p1"],
+                             ["p1", "p0", "q"], epsilon=1.0)
 
     def test_constants_property(self):
         assert prop_kserver_constants().ok

@@ -61,6 +61,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="regret"):
             validate_config(config, eta=0.5, gamma=1.0)
 
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("name", ["epsilon", "b", "c", "alpha"])
+    def test_rejects_non_finite_fields(self, objective, name):
+        from adaswitch.switching import validate_config
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = dict(epsilon=0.1, b=1.0, c=3.0, alpha=20.0, objective=objective,
+                          oracle_kind="gamma")
+            fields[name] = bad
+            with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+                validate_config(AdaSwitchConfig(**fields), eta=0.5, gamma=1.0)
+
+    def test_reward_runner_rejects_nan_epsilon(self):
+        config = AdaSwitchConfig(epsilon=math.nan, b=1.0, c=3.0)
+        with pytest.raises(ConfigurationError, match="^epsilon must be finite"):
+            oltq_run(config)
+
+    def test_cost_wrapper_rejects_nan_epsilon(self):
+        m = ks.MetricSpace.uniform(["a", "b", "c"])
+        reqs = ["b", "c", "a"] * 5
+        for seq in (reqs, ["a"] * 3):  # the initial-phase-only path too
+            with pytest.raises(ConfigurationError, match="^epsilon must be finite"):
+                ks.adaswitch_kse(m, ks.ServerConfig(("a",)), seq, seq,
+                                 epsilon=math.nan, variant="caching")
+
 
 def oltq_run(config, arrivals=(1, 1), pred=(1, 1), ell=2):
     problem = oltq.problem_instance(ell)
