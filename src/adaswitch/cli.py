@@ -8,10 +8,11 @@ serialized counterexample).
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 
-from . import harness, validation
+from . import harness
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,6 +29,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None,
                      help="override: offset every seed by this base")
     run.add_argument("--format", choices=("csv", "svg", "both"), default="both")
+    run.add_argument("-v", "--verbose", action="store_true",
+                     help="log INFO and above (row failures, horizon padding) "
+                          "to stderr")
 
     val = sub.add_parser("validate", help="run a property suite")
     val.add_argument("suite",
@@ -84,6 +88,8 @@ def cmd_validate(suite: str, budget: float | None = None) -> int:
     scale = 1.0
     if budget is not None:
         scale = min(1.0, max(0.2, budget / 60.0))
+    from . import validation  # the property suites are not needed to run specs
+
     start = time.monotonic()
     try:
         results = validation.run_suite(suite, scale=scale)
@@ -106,6 +112,8 @@ def cmd_validate(suite: str, budget: float | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
+        if args.verbose:
+            logging.basicConfig(level=logging.INFO, stream=sys.stderr)
         return cmd_run(args.spec, args.out, seeds=args.seeds,
                        seed_base=args.seed, fmt=args.format)
     return cmd_validate(args.suite, budget=args.budget)

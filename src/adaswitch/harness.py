@@ -100,10 +100,17 @@ def gen_pattern(model: str, p_err: float, ell: int, T: int,
 # Experiment specification
 
 
+# Keys the row runners read, beyond the fields parse_spec fills in itself.
+SPEC_PARAM_KEYS = frozenset(("ell", "T", "p", "p_err", "instance",
+                             "prediction_file", "metric"))
+ALGORITHM_PARAM_KEYS = frozenset(("epsilon", "Z", "gamma", "alpha", "eta", "mc_cap"))
+
+
 @dataclass
 class AlgorithmSpec:
     name: str
     params: dict[str, str] = field(default_factory=dict)
+    lines: dict[str, int] = field(default_factory=dict)  # param key -> spec line
 
     def get(self, key: str, default: Optional[float] = None) -> Optional[float]:
         if key in self.params:
@@ -121,6 +128,7 @@ class ExperimentSpec:
     grid: list[float] = field(default_factory=list)
     seeds: list[int] = field(default_factory=lambda: [0])
     algorithms: list[AlgorithmSpec] = field(default_factory=list)
+    lines: dict[str, int] = field(default_factory=dict)  # param key -> spec line
 
     def param(self, key: str, default=None, cast=float):
         if key in self.params:
@@ -136,6 +144,13 @@ class ExperimentSpec:
             raise ValueError("sweep grid must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        owners = [(self, SPEC_PARAM_KEYS, "")]
+        owners += [(a, ALGORITHM_PARAM_KEYS, "algorithm.") for a in self.algorithms]
+        for owner, allowed, prefix in owners:
+            for key in owner.params:
+                if key not in allowed:
+                    raise ValueError(f"line {owner.lines.get(key, '?')}: unknown "
+                                     f"spec key {prefix + key!r}")
         if not self.algorithms:
             self.algorithms = []
 
@@ -158,7 +173,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         elif key.startswith("algorithm."):
             if current is None:
                 raise ValueError(f"line {lineno}: algorithm parameter before algorithm.name")
-            current.params[key.split(".", 1)[1]] = rest
+            name = key.split(".", 1)[1]
+            current.params[name] = rest
+            current.lines[name] = lineno
         elif key == "app":
             spec.app = rest
         elif key == "generator":
@@ -177,6 +194,7 @@ def parse_spec(text: str) -> ExperimentSpec:
                 spec.seeds = [int(x) for x in tokens]
         else:
             spec.params[key] = rest
+            spec.lines[key] = lineno
     spec.validate()
     return spec
 

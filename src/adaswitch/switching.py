@@ -329,9 +329,30 @@ def monte_carlo_estimate(problem: ProblemInstance, prefix: Trajectory,
     return value
 
 
+# Relative band around a Monte Carlo threshold inside which the early exit
+# of ``_mc_estimate`` defers to the full mean, so float rounding in the
+# running total or the rollout ceiling cannot flip the decision.
+_MC_GUARD = 1e-9
+
+
 def _mc_estimate(problem: ProblemInstance, snapshot: Simulator,
                  window: list[Any], oracle: OnlineOracle, tau: int, t: int,
-                 config: AdaSwitchConfig) -> tuple[float, bool]:
+                 config: AdaSwitchConfig,
+                 threshold: Optional[float] = None) -> tuple[float, bool]:
+    """Mean value of ``min(H * t^5, cap)`` rollouts of the online policy
+    restarted from ``snapshot`` over ``window`` (one rollout for a
+    deterministic policy), and whether the budget was capped.
+
+    With ``threshold`` given, only ``mean >= threshold`` is wanted: the
+    rollouts stop once the rest cannot change that answer, and the value
+    returned is then a bound on the mean on the same side of ``threshold``
+    (an upper bound when below, a lower bound when reaching).  This relies
+    on the problem contract that every ``step`` value lies in
+    ``[0, reward_bound]``, so a rollout over W periods is worth at most
+    ``W * reward_bound`` and the running total never decreases.  Within a
+    relative ``_MC_GUARD`` of the threshold every rollout runs, so the
+    comparison always equals the one on the full mean.
+    """
     if oracle.deterministic:
         n = 1
         capped = False
@@ -339,8 +360,14 @@ def _mc_estimate(problem: ProblemInstance, snapshot: Simulator,
         budget = config.monte_carlo_base_H * t ** 5
         n = min(budget, config.monte_carlo_cap)
         capped = budget > config.monte_carlo_cap
+    ceiling = len(window) * problem.reward_bound  # most one rollout can be worth
+    target = math.nan if threshold is None else threshold * n  # NaN: never settles
     total = 0.0
     for j in range(n):
+        if total + (n - j) * ceiling < target * (1 - _MC_GUARD):
+            return (total + (n - j) * ceiling) / n, capped  # cannot reach
+        if total >= target * (1 + _MC_GUARD):
+            return total / n, capped  # already reached
         sim = snapshot.clone()
         policy = oracle.restart(sim, tau - 1)
         rng = stream(config.seed, "mc", t, j)  # one stream per rollout
@@ -385,7 +412,9 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     against (observed request, predicted suffix) is recomputed whenever the
     prediction misses; while it matches, continuing the cached plan realizes
     the same value as re-solving every period, since any suffix of an
-    optimal plan stays optimal along the predicted path.
+    optimal plan stays optimal along the predicted path.  An oracle with
+    ties (the k-server flow) may pick a different, equally good plan when
+    re-solved, so after a later miss the two can diverge.
     """
     eta = online_oracle.eta
     if offline_oracle.gamma != 1.0:
@@ -496,7 +525,8 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
 
     The conservative monitor is a Monte Carlo estimate of the online
     policy's value over the current window (exact single rollout for
-    deterministic policies).  Predictive periods run in batches: each batch
+    deterministic policies), cut short once the comparison with the
+    conservative exit is settled.  Predictive periods run in batches: each batch
     is grown one predicted period at a time, re-solved in one shot by the
     gamma oracle, until its planned value reaches the batch-stop threshold
     or the estimated horizon ends; the plan is then followed verbatim.  If
@@ -552,7 +582,8 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
                 s = phase_val
             else:
                 s, capped = _mc_estimate(problem, phase_snapshot, phase_window,
-                                         online_oracle, tau, t, config)
+                                         online_oracle, tau, t, config,
+                                         threshold=thr.conservative_exit)
                 mc_deviation = mc_deviation or capped
             ok = s >= thr.conservative_exit
             if ok and thr.needs_opt_estimate:

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
 from . import kserver as ks
 from . import oltq
 from . import orra
+from . import switching
 from .framework import (
+    MAXIMIZE,
     ProblemInstance,
     Trajectory,
     brute_force_opt,
@@ -27,7 +30,11 @@ from .framework import (
 )
 from .switching import (
     AdaSwitchConfig,
+    OfflineOracle,
+    OnlineOracle,
+    OnlinePolicy,
     ResolveMonitor,
+    run_adaswitch_exact,
     stream,
     theoretical_bound,
     threshold_table,
@@ -107,6 +114,10 @@ def random_kserver_instance(rng: random.Random, max_n: int = 5, max_k: int = 3,
 
 def random_orra_requests(rng: random.Random, n: int, window: int) -> list[tuple]:
     return [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(window)]
+
+
+def _orra_rows(rng: random.Random, n: int, window: int, density: float) -> list[tuple]:
+    return [tuple(int(rng.random() < density) for _ in range(n)) for _ in range(window)]
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +912,255 @@ def prop_bound_arithmetic(scale: float = 1.0, seed: int = 504) -> PropertyResult
     return PropertyResult("adaswitch/bound-arithmetic", True)
 
 
+@contextmanager
+def _full_mc_mean():
+    """Within the block the gamma runner's Monte Carlo check runs every
+    rollout: the threshold it passes to ``_mc_estimate`` is dropped."""
+    original = switching._mc_estimate
+
+    def full(*args, threshold=None, **kwargs):
+        return original(*args, **kwargs)
+
+    switching._mc_estimate = full
+    try:
+        yield
+    finally:
+        switching._mc_estimate = original
+
+
+class _RandomServerOracle(OnlineOracle, OnlinePolicy):
+    """Moves a uniformly random server to each request.  On a line metric
+    with coordinates such as 0.1 and 0.7 its costs are not binary
+    fractions, so Monte Carlo running totals round."""
+
+    deterministic = False
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def restart(self, sim, m):
+        return self
+
+    def act(self, t, request, rng):
+        return rng.randint(1, self.k)
+
+
+def _mc_windows(rng: random.Random, count: int):
+    """Random (problem, snapshot, window, online oracle, tau) Monte Carlo
+    inputs after a random prefix, over short windows: ORRA under the
+    re-ranking policy, uniform caching under marking, and a line metric
+    under random servers."""
+    line = (0.0, 0.1, 0.3, 0.7, 1.0)
+    line_metric = ks.MetricSpace([f"x{j}" for j in range(len(line))],
+                                 [[abs(a - b) for b in line] for a in line])
+    for i in range(count):
+        m = rng.randint(0, 4)
+        w = rng.randint(1, 6)
+        if i % 3 == 0:
+            params = orra.OrraParams(rng.randint(2, 4), rng.randint(1, 3))
+            problem = orra.problem_instance(params)
+            online = orra.PrrStarOracle(params)
+            dens = rng.uniform(0.1, 0.9)
+            draw = lambda: _orra_rows(rng, params.n, 1, dens)[0]
+        else:
+            if i % 3 == 1:
+                metric = ks.MetricSpace.uniform([f"p{j}" for j in range(rng.randint(3, 5))])
+                online = ks.MarkingOracle(metric, 2)
+            else:
+                metric, online = line_metric, _RandomServerOracle(2)
+                w = rng.randint(1, 2)  # short, so some rollouts cost nothing
+            problem = ks.problem_instance(metric, ks.ServerConfig(metric.points[:2]))
+            draw = lambda: rng.choice(metric.points)
+        sim = problem.new_simulator()
+        for t in range(1, m + 1):
+            e = draw()
+            space = problem.action_space(t, e)
+            sim.step(t, e, space[rng.randrange(len(space))])
+        yield problem, sim, [draw() for _ in range(w)], online, m + 1
+
+
+def prop_mc_early_exit_matches_full(scale: float = 1.0, seed: int = 505,
+                                    trials: int = 4) -> PropertyResult:
+    """Settling the Monte Carlo threshold test early never changes it.
+
+    Directly: ``_mc_estimate`` with a threshold answers ``value >=
+    threshold`` as the full mean does, for thresholds at, one ulp either
+    side of, within the guard band of, and far from a computed mean.  End
+    to end: the gamma runner on random ORRA instances whose windows cross
+    the conservative exit gives the same report and actions as with every
+    rollout run."""
+    name = "adaswitch/mc-early-exit-matches-full"
+    rng = random.Random(seed)
+    for problem, snapshot, window, online, tau in _mc_windows(rng, _scaled(120, scale)):
+        t = tau + len(window) - 1 + rng.randint(1, 3)  # budget t^5 >= 32 > cap
+        config = AdaSwitchConfig(0.2, 1.0, 1.0, seed=rng.randrange(1000),
+                                 monte_carlo_cap=rng.randint(2, 12))
+        mean, _ = switching._mc_estimate(problem, snapshot, window, online,
+                                         tau, t, config)
+        top = len(window) * problem.reward_bound
+        for thr in (mean, math.nextafter(mean, math.inf),
+                    math.nextafter(mean, -math.inf), mean * (1 + 1e-10),
+                    mean * (1 - 1e-10), mean / 2, (mean + top) / 2, top / 2,
+                    top, 0.0):
+            settled, _ = switching._mc_estimate(problem, snapshot, window, online,
+                                                tau, t, config, threshold=thr)
+            if (settled >= thr) != (mean >= thr):
+                return PropertyResult(
+                    name, False,
+                    f"{problem.name} window={window} tau={tau} t={t} "
+                    f"n={config.monte_carlo_cap} seed={config.seed} "
+                    f"mean={mean!r} threshold={thr!r} settled={settled!r}")
+    crossed = 0
+    for trial in range(_scaled(trials, scale)):
+        n, T = rng.choice((2, 3, 4)), rng.randint(220, 300)
+        dens = rng.uniform(0.3, 0.7)
+        epsilon = rng.choice((0.45, 0.55, 0.58))
+        params = orra.OrraParams(n, 2)
+        reqs = _orra_rows(rng, n, T, dens)
+        if trial % 2:  # an unrelated prediction, so the error budget runs out
+            pred = _orra_rows(rng, n, T, dens)
+        else:
+            pred = [tuple(x ^ (rng.random() < 0.1) for x in e) for e in reqs]
+        runs = []
+        for full in (False, True):
+            with _full_mc_mean() if full else nullcontext():
+                report = orra.adaswitch_orra(params, reqs, pred, epsilon,
+                                             seed=seed + trial, monte_carlo_cap=32)
+            runs.append((report.val, report.epochs, report.switch_count,
+                         report.mc_deviation, report.fallback_fired,
+                         report.trajectory.actions))
+        if runs[0] != runs[1]:
+            return PropertyResult(
+                name, False,
+                f"n={n} T={T} epsilon={epsilon} seed={seed + trial} reqs={reqs} "
+                f"pred={pred} early={runs[0][:5]} full={runs[1][:5]}")
+        crossed += len(runs[0][1]) > 1
+    if not crossed:
+        return PropertyResult(name, False, "no run crossed the conservative exit")
+    return PropertyResult(name, True)
+
+
+def prop_step_values_within_reward_bound(scale: float = 1.0, seed: int = 506,
+                                         trials: int = 30) -> PropertyResult:
+    """Every simulator step value lies in [0, reward_bound], under the
+    online policy and under random valid actions, on random lead-time,
+    ORRA and caching instances (the Monte Carlo early exit relies on it)."""
+    name = "adaswitch/step-values-within-reward-bound"
+    rng = random.Random(seed)
+    for trial in range(_scaled(trials, scale)):
+        ell = rng.randint(2, 4)
+        params = orra.OrraParams(rng.randint(1, 4), rng.randint(1, 3))
+        orra_dens = rng.uniform(0.2, 0.9)
+        metric = ks.MetricSpace.uniform([f"p{j}" for j in range(rng.randint(2, 6))])
+        k = rng.randint(1, len(metric.points))
+        cases = [
+            (oltq.problem_instance(ell), oltq.QFracStarOracle(ell),
+             lambda: rng.randint(0, ell)),
+            (orra.problem_instance(params), orra.PrrStarOracle(params),
+             lambda: _orra_rows(rng, params.n, 1, orra_dens)[0]),
+            (ks.problem_instance(metric, ks.ServerConfig(metric.points[:k])),
+             ks.MarkingOracle(metric, k),
+             lambda: rng.choice(metric.points + (ks.BOT,))),
+        ]
+        for problem, online, draw in cases:
+            for follow_policy in (True, False):
+                sim = problem.new_simulator()
+                policy = online.restart(sim, 0)
+                for t in range(1, rng.randint(2, 25)):
+                    e = draw()
+                    if follow_policy:
+                        a = policy.act(t, e, stream(seed, trial, t))
+                    else:
+                        space = problem.action_space(t, e)
+                        a = space[rng.randrange(len(space))]
+                    r = sim.step(t, e, a)
+                    if not 0.0 <= r <= problem.reward_bound:
+                        return PropertyResult(
+                            name, False,
+                            f"{problem.name} t={t} request={e!r} action={a!r} "
+                            f"value={r!r} outside [0, {problem.reward_bound}]")
+    return PropertyResult(name, True)
+
+
+class _ReplanEveryPeriod(OfflineOracle):
+    """Exact oracle whose plans are cut to their first action, so the exact
+    runner re-solves at every predictive period instead of following a
+    cached plan.  Window values and monitors come from the wrapped oracle."""
+
+    def __init__(self, inner: OfflineOracle):
+        self.inner = inner
+        self.gamma = inner.gamma
+
+    def solve(self, sim, t0, window):
+        value, actions = self.inner.solve(sim, t0, window)
+        return value, actions[:1]
+
+    def value(self, sim, t0, window):
+        return self.inner.value(sim, t0, window)
+
+    def monitor(self, sim, t0):
+        return self.inner.monitor(sim, t0)
+
+
+def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
+                                    trials: int = 24) -> PropertyResult:
+    """Following a cached plan while the prediction matches equals
+    re-solving every predictive period.  Lead-time and ORRA runs with noisy
+    predictions give the same value, epochs and actions.  The k-server flow
+    breaks ties differently when re-solved from a later state, so caching
+    runs use perfect predictions and compare value and epochs only: the
+    actions may differ among equally cheap plans, and after a miss such a
+    difference can change what the run realizes."""
+    name = "adaswitch/cached-plan-matches-replan"
+    rng = random.Random(seed)
+    replanned = 0
+    for trial in range(_scaled(trials, scale)):
+        app = ("oltq", "caching", "orra")[trial % 3]
+        T = rng.randint(40, 90)
+        noise = rng.uniform(0.0, 0.3)
+        if app == "oltq":
+            ell = rng.randint(2, 3)
+            problem = oltq.problem_instance(ell)
+            arrivals = [rng.randint(0, ell) for _ in range(T)]
+            noisy = [a if rng.random() > noise else rng.randint(0, ell) for a in arrivals]
+            reqs, pred = oltq.make_requests(ell, arrivals), oltq.make_requests(ell, noisy)
+            offline, online = oltq.OhrrOracle(), oltq.QFracStarOracle(ell)
+        elif app == "caching":
+            metric = ks.MetricSpace.uniform([f"p{j}" for j in range(rng.randint(3, 5))])
+            problem = ks.problem_instance(metric, ks.ServerConfig(metric.points[:2]))
+            reqs = pred = ks.make_requests([rng.choice(metric.points) for _ in range(T)])
+            offline, online = ks.KserverOfflineOracle(metric), ks.MarkingOracle(metric, 2)
+        else:
+            params = orra.OrraParams(rng.randint(2, 3), 2)
+            problem = orra.problem_instance(params)
+            rows = _orra_rows(rng, params.n, T, rng.uniform(0.4, 0.9))
+            noisy = [e if rng.random() > noise else tuple(1 - x for x in e) for e in rows]
+            reqs, pred = orra.make_requests(params, rows), orra.make_requests(params, noisy)
+            offline, online = orra.OrraDpOracle(params), orra.PrrStarOracle(params)
+        # b = c = 1 keeps the exit thresholds low enough for short horizons.
+        if problem.objective == MAXIMIZE:
+            epsilon = rng.uniform(0.3, 0.9) * online.eta
+        else:
+            epsilon = 3 * online.eta
+        config = AdaSwitchConfig(epsilon, 1.0, 1.0, seed=seed + trial,
+                                 objective=problem.objective)
+        runs = []
+        for oracle in (offline, _ReplanEveryPeriod(offline)):
+            report = run_adaswitch_exact(problem, reqs, pred, oracle, online, config)
+            actions = report.trajectory.actions if app != "caching" else None
+            runs.append((report.val, report.epochs, actions))
+        if runs[0] != runs[1]:
+            return PropertyResult(
+                name, False,
+                f"{problem.name} reqs={reqs.items} pred={pred.items} "
+                f"epsilon={config.epsilon} seed={config.seed} cached={runs[0][:2]} "
+                f"replanned={runs[1][:2]}")
+        replanned += len(runs[0][1]) > 1
+    if not replanned:
+        return PropertyResult(name, False, "no run reached the predictive state")
+    return PropertyResult(name, True)
+
+
 SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
     "framework": [
         prop_trajectory_replay,
@@ -937,6 +1197,9 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_switch_count_bound,
         prop_predictive_phase_regret,
         prop_bound_arithmetic,
+        prop_mc_early_exit_matches_full,
+        prop_step_values_within_reward_bound,
+        prop_cached_plan_matches_replan,
     ],
 }
 

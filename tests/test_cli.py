@@ -80,6 +80,25 @@ class TestRun:
         assert code == 2
         assert "no-such-algorithm" in capsys.readouterr().err
 
+    def test_verbose_configures_logging(self, tmp_path):
+        # One failing row: with -v its warning goes through a handler that
+        # basicConfig installed (level:logger:message), without -v only
+        # through the last-resort handler (bare message).
+        bad = tmp_path / "broken.spec"
+        bad.write_text(SPEC.replace("seeds 2", "seeds 1").replace("grid 0.2 0.3", "grid 0.2")
+                       + "algorithm.name no-such-algorithm\n")
+        stderr = {}
+        for flags in ([], ["-v"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "adaswitch.cli", "run", *flags,
+                 "--spec", str(bad), "--out", str(tmp_path / "o"), "--format", "csv"],
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 2
+            stderr[bool(flags)] = proc.stderr
+        assert "WARNING:adaswitch.harness:row failed" in stderr[True]
+        assert "WARNING:" not in stderr[False]
+        assert "row failed: oltq/no-such-algorithm" in stderr[False]
+
     def test_unknown_flag_is_an_error(self, spec_file, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["run", "--spec", spec_file, "--out", str(tmp_path),

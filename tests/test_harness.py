@@ -1,7 +1,10 @@
 """Experiment harness: generators, sweep runner, CSV/SVG emission."""
 
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -106,6 +109,29 @@ class TestSpecParsing:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             harness.parse_spec("app oltq\nseeds 2\n")
+
+    @pytest.mark.parametrize("line, key", [("seed 5", "'seed'"),
+                                           ("algoritm.name x", "'algoritm.name'"),
+                                           ("algorithm.mc-cap 8", "'algorithm.mc-cap'")])
+    def test_unknown_key_rejected_with_line(self, line, key):
+        text = SMALL_SPEC + line + "\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"line {lineno}: unknown spec key {key}"):
+            harness.parse_spec(text)
+
+    def test_shipped_and_benchmark_specs_parse(self, tmp_path, monkeypatch):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        paths = sorted(root.glob("experiments/*.spec"))
+        assert paths
+        loader = importlib.util.spec_from_file_location(
+            "bench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, loader.name, workloads)  # for its dataclasses
+        loader.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            paths += [pathlib.Path(u.spec) for u in workload.write_round(str(tmp_path), 0, 0)]
+        for path in paths:
+            harness.parse_spec(path.read_text())
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):

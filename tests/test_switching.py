@@ -19,9 +19,13 @@ from adaswitch import (
 )
 from adaswitch import kserver as ks
 from adaswitch import oltq, orra
+from adaswitch.switching import _mc_estimate
 from adaswitch.validation import (
     prop_bound_arithmetic,
+    prop_cached_plan_matches_replan,
+    prop_mc_early_exit_matches_full,
     prop_predictive_phase_regret,
+    prop_step_values_within_reward_bound,
     prop_switch_count_bound,
     prop_threshold_formulas,
 )
@@ -199,6 +203,34 @@ class TestMonteCarlo:
                                    t=9, config=config)
         assert 0.0 <= est <= 4.0
 
+    @pytest.mark.parametrize("threshold, rollouts", [(4.5, 0), (None, 30)])
+    def test_threshold_out_of_reach_skips_rollouts(self, threshold, rollouts):
+        # Four periods are worth at most 4 * L = 4 < 4.5: nothing to roll out.
+        params = orra.OrraParams(2, 2)
+        problem = orra.problem_instance(params)
+        restarts = []
+
+        class Counting(orra.PrrStarOracle):
+            def restart(self, sim, m):
+                restarts.append(m)
+                return super().restart(sim, m)
+
+        config = AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0, alpha=3.0, seed=1,
+                                 monte_carlo_cap=30)
+        value, capped = _mc_estimate(problem, problem.new_simulator(), [(1, 1)] * 4,
+                                     Counting(params), 1, 9, config,
+                                     threshold=threshold)
+        assert len(restarts) == rollouts
+        assert capped  # the budget 9^5 exceeds the cap whether or not rollouts ran
+        if threshold is not None:
+            assert value < threshold
+
+    def test_early_exit_matches_full_property(self):
+        assert prop_mc_early_exit_matches_full().ok
+
+    def test_step_values_within_reward_bound_property(self):
+        assert prop_step_values_within_reward_bound().ok
+
 
 class TestRegretBasedRule:
     def test_no_regret_no_switch(self):
@@ -283,6 +315,9 @@ class TestExactRunner:
 
     def test_predictive_phase_property(self):
         assert prop_predictive_phase_regret().ok
+
+    def test_cached_plan_property(self):
+        assert prop_cached_plan_matches_replan().ok
 
     def test_epochs_alternate_starting_conservative(self):
         rng = random.Random(5)
