@@ -171,25 +171,6 @@ class Simulator:
         raise NotImplementedError
 
 
-class ReplaySimulator(Simulator):
-    """Fallback simulator that re-applies the reward function to growing
-    prefixes.  Quadratic in the horizon; application simulators replace it."""
-
-    def __init__(self, problem: "ProblemInstance",
-                 requests: Sequence[Any] = (), actions: Sequence[Any] = ()):
-        self.problem = problem
-        self.requests = list(requests)
-        self.actions = list(actions)
-
-    def step(self, t: int, request: Any, action: Any) -> float:
-        self.requests.append(request)
-        self.actions.append(action)
-        return self.problem.reward_fn(self.requests, self.actions)
-
-    def clone(self) -> "ReplaySimulator":
-        return ReplaySimulator(self.problem, self.requests, self.actions)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Contract an application exposes to the framework and the meta-runner.
@@ -199,6 +180,8 @@ class ProblemInstance:
     ``action_space(t, e)`` enumerates period ``t``'s candidate actions for
     request ``e`` in the application's documented tie-break order.
     ``distance_fn`` is symmetric and zero on identical requests.
+    ``simulator_factory()`` returns the application's simulator at the
+    start state.
     """
 
     name: str
@@ -211,8 +194,8 @@ class ProblemInstance:
     influence_f: float
     objective: str
     null_request: Any
+    simulator_factory: Callable[[], Simulator]
     validate_action: Optional[Callable[[int, Any, Any], None]] = None
-    simulator_factory: Optional[Callable[[], Simulator]] = None
     estimate_m: Optional[Callable[[int, RequestSequence], int]] = None
 
     def __post_init__(self):
@@ -223,8 +206,7 @@ class ProblemInstance:
 
     def new_simulator(self, prefix: Optional[Trajectory] = None) -> Simulator:
         """Fresh simulator, optionally advanced through a trajectory prefix."""
-        sim = (self.simulator_factory() if self.simulator_factory is not None
-               else ReplaySimulator(self))
+        sim = self.simulator_factory()
         if prefix is not None:
             for i in range(prefix.m):
                 sim.step(i + 1, prefix.requests[i], prefix.actions[i])

@@ -2,10 +2,10 @@
 CSV/SVG report emission.
 
 A sweep evaluates a list of algorithms over a grid (robustness guarantees,
-horizons, or error rates) with several seeds per point, computes the
-hindsight optimum with the application's exact offline oracle, and records
-one row per (algorithm, grid point, seed).  Rows are plain dicts with a
-fixed column schema so the CSV round-trips exactly.
+horizons, or error rates) with several seeds per point and records one row
+per (algorithm, grid point, seed) from the run's report, whose hindsight
+optimum comes from the application's offline oracle.  Rows are plain dicts
+with a fixed column schema so the CSV round-trips exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import kserver as ks
 from . import oltq
 from . import orra
 from .framework import RequestSequence
-from .switching import child_seed
+from .switching import CompetitiveReport, child_seed
 
 log = logging.getLogger(__name__)
 
@@ -100,10 +100,20 @@ def gen_pattern(model: str, p_err: float, ell: int, T: int,
 # Experiment specification
 
 
-# Keys the row runners read, beyond the fields parse_spec fills in itself.
-SPEC_PARAM_KEYS = frozenset(("ell", "T", "p", "p_err", "instance",
-                             "prediction_file", "metric"))
-ALGORITHM_PARAM_KEYS = frozenset(("epsilon", "Z", "gamma", "alpha", "eta", "mc_cap"))
+# Keys each application's instance builder reads, beyond the fields
+# parse_spec fills in itself: spec parameters and algorithm parameters.
+SPEC_PARAM_KEYS = {
+    "oltq": frozenset(("ell", "T", "p", "p_err", "instance", "prediction_file")),
+    "kserver": frozenset(("metric", "instance", "prediction_file")),
+    "caching": frozenset(("metric", "instance", "prediction_file")),
+    "orra": frozenset(("instance", "prediction_file")),
+}
+ALGORITHM_PARAM_KEYS = {
+    "oltq": frozenset(("epsilon", "Z", "gamma")),
+    "kserver": frozenset(("epsilon",)),
+    "caching": frozenset(("epsilon",)),
+    "orra": frozenset(("epsilon", "alpha", "eta", "mc_cap")),
+}
 
 
 @dataclass
@@ -138,21 +148,20 @@ class ExperimentSpec:
         return default
 
     def validate(self) -> None:
-        if self.app not in ("oltq", "kserver", "caching", "orra"):
+        if self.app not in SPEC_PARAM_KEYS:
             raise ValueError(f"unknown application {self.app!r}")
         if not self.grid:
             raise ValueError("sweep grid must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        owners = [(self, SPEC_PARAM_KEYS, "")]
-        owners += [(a, ALGORITHM_PARAM_KEYS, "algorithm.") for a in self.algorithms]
+        owners = [(self, SPEC_PARAM_KEYS[self.app], "")]
+        owners += [(a, ALGORITHM_PARAM_KEYS[self.app], "algorithm.")
+                   for a in self.algorithms]
         for owner, allowed, prefix in owners:
             for key in owner.params:
                 if key not in allowed:
                     raise ValueError(f"line {owner.lines.get(key, '?')}: unknown "
                                      f"spec key {prefix + key!r}")
-        if not self.algorithms:
-            self.algorithms = []
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -260,49 +269,30 @@ def _oltq_instances(spec: ExperimentSpec, sweep_value: float, seed: int
     return ell, reality, prediction
 
 
-def _run_oltq_row(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
-                  seed: int, cache: dict) -> dict:
+def _oltq_report(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
+                 seed: int) -> CompetitiveReport:
     ell, reality, prediction = _oltq_instances(spec, sweep_value, seed)
     eta = oltq.eta_oltq(ell)
-    opt_key = ("opt", seed, sweep_value if spec.sweep_axis != "robustness" else None)
-    if opt_key not in cache:
-        horizon = reality.effective_length
-        cache[opt_key] = oltq.ohrr_star(oltq.OltqSimulator(ell), 1,
-                                        reality.window(1, horizon))[0]
-    opt = cache[opt_key]
-
     if algo.name == "adaswitch":
         if spec.sweep_axis == "robustness":
             epsilon = eta - sweep_value
         else:
             epsilon = algo.get("epsilon", 0.2)
-        report = oltq.adaswitch_oltq(ell, reality, prediction, epsilon, seed=seed)
-    elif algo.name == "strengthened":
-        Z = algo.get("Z", 4.0)
+        return oltq.adaswitch_oltq(ell, reality, prediction, epsilon, seed=seed)
+    if algo.name == "strengthened":
         if spec.sweep_axis == "robustness":
             gamma = sweep_value
         else:
             gamma = algo.get("gamma", eta - algo.get("epsilon", 0.2))
-        report = oltq.strengthened_adaswitch_oltq(ell, reality, prediction,
-                                                  gamma, Z=Z, seed=seed)
-    elif algo.name == "qfrac":
-        report = oltq.run_qfrac_baseline(ell, reality, seed=seed)
-    else:
-        raise ValueError(f"unknown oltq algorithm {algo.name!r}")
-
-    ratio = report.val / opt if opt > 0 else None
-    return {
-        "app": spec.app, "algorithm": algo.name, "sweep_axis": spec.sweep_axis,
-        "sweep_value": float(sweep_value), "seed": seed,
-        "val": report.val, "opt": opt, "ratio": ratio,
-        "phi_star": report.phi_star, "switches": report.switch_count,
-        "bound": report.bounds.get("T5"),
-        "flags": ";".join(report.flags),
-    }
+        return oltq.strengthened_adaswitch_oltq(ell, reality, prediction, gamma,
+                                                Z=algo.get("Z", 4.0), seed=seed)
+    if algo.name == "qfrac":
+        return oltq.run_qfrac_baseline(ell, reality, seed=seed)
+    raise ValueError(f"unknown oltq algorithm {algo.name!r}")
 
 
-def _run_caching_row(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
-                     seed: int, cache: dict) -> dict:
+def _kserver_report(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
+                    seed: int) -> CompetitiveReport:
     metric, k = ks.read_metric(spec.params["metric"])
     reality = ks.read_requests(spec.params["instance"])
     if spec.prediction == "perfect":
@@ -312,46 +302,51 @@ def _run_caching_row(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: flo
     initial = ks.ServerConfig(tuple(metric.points[:k]))
     variant = "caching" if spec.app == "caching" else "general"
     epsilon = sweep_value if spec.sweep_axis == "epsilon" else algo.get("epsilon")
-    report = ks.adaswitch_kse(metric, initial, reality, prediction,
-                              epsilon=epsilon, variant=variant, seed=seed)
-    return {
-        "app": spec.app, "algorithm": algo.name, "sweep_axis": spec.sweep_axis,
-        "sweep_value": float(sweep_value), "seed": seed,
-        "val": report.val, "opt": report.opt, "ratio": report.ratio,
-        "phi_star": report.phi_star, "switches": report.switch_count,
-        "bound": report.bounds.get("T7", report.bounds.get("T6")),
-        "flags": ";".join(report.flags),
-    }
+    return ks.adaswitch_kse(metric, initial, reality, prediction,
+                            epsilon=epsilon, variant=variant, seed=seed)
 
 
-def _run_orra_row(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
-                  seed: int, cache: dict) -> dict:
+def _orra_report(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
+                 seed: int) -> CompetitiveReport:
     params, reality = orra.read_instance(spec.params["instance"])
     if spec.prediction == "perfect":
         prediction = reality
     else:
         _, prediction = orra.read_instance(spec.params["prediction_file"])
     epsilon = sweep_value if spec.sweep_axis == "epsilon" else algo.get("epsilon")
-    report = orra.adaswitch_orra(params, reality, prediction, epsilon,
-                                 alpha=algo.get("alpha", 3.0), seed=seed,
-                                 eta_online=algo.get("eta", 0.589),
-                                 monte_carlo_cap=int(algo.get("mc_cap", 200)))
+    return orra.adaswitch_orra(params, reality, prediction, epsilon,
+                               alpha=algo.get("alpha", 3.0), seed=seed,
+                               eta_online=algo.get("eta", 0.589),
+                               monte_carlo_cap=int(algo.get("mc_cap", 200)))
+
+
+_REPORTS: dict[str, Callable[..., CompetitiveReport]] = {
+    "oltq": _oltq_report,
+    "kserver": _kserver_report,
+    "caching": _kserver_report,
+    "orra": _orra_report,
+}
+
+# The bound a row reports: the first of these keys the report carries.
+_BOUND_KEYS = {
+    "oltq": ("T5",),
+    "kserver": ("T7", "T6"),
+    "caching": ("T7", "T6"),
+    "orra": ("T2",),
+}
+
+
+def _row(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float, seed: int,
+         report: CompetitiveReport) -> dict:
+    bound = next((report.bounds[k] for k in _BOUND_KEYS[spec.app]
+                  if k in report.bounds), None)
     return {
         "app": spec.app, "algorithm": algo.name, "sweep_axis": spec.sweep_axis,
         "sweep_value": float(sweep_value), "seed": seed,
         "val": report.val, "opt": report.opt, "ratio": report.ratio,
         "phi_star": report.phi_star, "switches": report.switch_count,
-        "bound": report.bounds.get("T2"),
-        "flags": ";".join(report.flags),
+        "bound": bound, "flags": ";".join(report.flags),
     }
-
-
-_ROW_RUNNERS: dict[str, Callable] = {
-    "oltq": _run_oltq_row,
-    "kserver": _run_caching_row,
-    "caching": _run_caching_row,
-    "orra": _run_orra_row,
-}
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], list[dict]]:
@@ -360,13 +355,15 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], list[dict]]:
     run continues."""
     spec.validate()
     rows: list[dict] = []
-    runner = _ROW_RUNNERS[spec.app]
-    cache: dict = {}
+    report_of = _REPORTS[spec.app]
     for algo in spec.algorithms:
         for sweep_value in spec.grid:
             for seed in spec.seeds:
                 try:
-                    rows.append(runner(spec, algo, sweep_value, seed, cache))
+                    # No name holds the report, so its trajectory is freed
+                    # before the next run starts.
+                    rows.append(_row(spec, algo, sweep_value, seed,
+                                     report_of(spec, algo, sweep_value, seed)))
                 except Exception as exc:
                     log.warning("row failed: %s/%s@%s seed=%s: %s", spec.app,
                                 algo.name, sweep_value, seed, exc)

@@ -608,8 +608,8 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
     (work function in general, marking under the uniform metric)."""
     k = initial.k
     problem = problem_instance(metric, initial)
-    requests = _coerce(requests)
-    prediction = _coerce(prediction)
+    requests = make_requests(requests)
+    prediction = make_requests(prediction)
     for seq, label in ((requests, "requests"), (prediction, "prediction")):
         if any(seq.at(t) is BOT for t in range(1, seq.support_length + 1)):
             raise ValueError(f"{label} must have consecutive support "
@@ -678,25 +678,21 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
             report.bounds["T7"] = theoretical_bound(
                 "T7", k=float(k), opt=report.opt, phi_star=raw_errors)
         else:
-            eta = online.eta
-            report.bounds["T6"] = 1.0 + min(
-                eta + epsilon,
-                (14 * eta * (eta + epsilon) * k + (14 * eta + 4 * epsilon) * raw_errors)
-                / (epsilon * report.opt))
+            report.bounds["T6"] = theoretical_bound(
+                "T6", eta=online.eta, epsilon=epsilon, k=float(k), opt=report.opt,
+                phi_star=raw_errors)
             # The section states min(2(k-1), ...) for the online guarantee but
             # only the 2k-1 work-function bound is certifiable; flag it.
             report.flags += ("eta-kse-uses-2k-minus-1",)
     return report
 
 
-def make_requests(points: Sequence[Optional[str]]) -> RequestSequence:
+def make_requests(points) -> RequestSequence:
+    """Points (None for the empty request) to a request sequence; a
+    RequestSequence passes through unchanged."""
+    if isinstance(points, RequestSequence):
+        return points
     return RequestSequence(list(points), null_request=BOT)
-
-
-def _coerce(requests) -> RequestSequence:
-    if isinstance(requests, RequestSequence):
-        return requests
-    return make_requests(requests)
 
 
 # ---------------------------------------------------------------------------

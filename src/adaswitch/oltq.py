@@ -87,9 +87,12 @@ def eta_oltq(ell: int) -> float:
     return float(eta_oltq_fraction(ell))
 
 
-def make_requests(ell: int, arrivals: Sequence[int]) -> RequestSequence:
+def make_requests(ell: int, arrivals) -> RequestSequence:
     """Arrival counts to a request sequence with the patience tail included
-    in the effective length (last positive arrival plus ell - 1)."""
+    in the effective length (last positive arrival plus ell - 1); a
+    RequestSequence passes through unchanged."""
+    if isinstance(arrivals, RequestSequence):
+        return arrivals
     arrivals = [int(a) for a in arrivals]
     for t, a in enumerate(arrivals, start=1):
         if not 0 <= a <= ell:
@@ -343,13 +346,6 @@ class QFracStarOracle(OnlineOracle):
         return QFracStarPolicy(self.ell, self.eta_frac, m)
 
 
-def qfrac_star_step(policy: QFracStarPolicy, t: int, e: int) -> tuple[tuple, QFracStarPolicy]:
-    """One policy step exposed for direct inspection: returns the action
-    vector and the (mutated) policy carrying the updated slot pointer."""
-    action = policy.act(t, e, random.Random(0))
-    return action, policy
-
-
 def alpha_of_gamma(ell: int, gamma: float) -> float:
     """Consistency of the external threshold-tuned baseline at robustness
     ``gamma``: the largest q/ell whose threshold value still clears gamma,
@@ -371,8 +367,8 @@ def adaswitch_oltq(ell: int, requests, prediction, epsilon: float,
     c = ell + 1 and b = 1, the greedy sweep as the exact offline oracle and
     the fractional-threshold policy as the online oracle."""
     problem = problem_instance(ell)
-    requests = _coerce(ell, requests)
-    prediction = _coerce(ell, prediction)
+    requests = make_requests(ell, requests)
+    prediction = make_requests(ell, prediction)
     config = AdaSwitchConfig(epsilon=epsilon, b=1.0, c=float(ell + 1),
                              seed=seed, switching_mode=switching_mode,
                              objective=MAXIMIZE, oracle_kind="exact")
@@ -391,7 +387,7 @@ def run_qfrac_baseline(ell: int, requests, seed: int = 0,
                        instance_id: str = "") -> CompetitiveReport:
     """Pure online run of the fractional-threshold policy (no predictions)."""
     problem = problem_instance(ell)
-    requests = _coerce(ell, requests)
+    requests = make_requests(ell, requests)
     oracle = QFracStarOracle(ell)
     sim = problem.new_simulator()
     policy = oracle.restart(sim, 0)
@@ -433,8 +429,8 @@ def strengthened_adaswitch_oltq(ell: int, requests, prediction, gamma: float,
     eta = eta_oltq(ell)
     if not 0 < gamma < eta:
         raise ValueError(f"gamma must lie in (0, eta={eta:.6g}), got {gamma}")
-    requests = _coerce(ell, requests)
-    prediction = _coerce(ell, prediction)
+    requests = make_requests(ell, requests)
+    prediction = make_requests(ell, prediction)
     opt_pred, _ = ohrr_star(OltqSimulator(ell), 1,
                             prediction.window(1, prediction.effective_length))
     a_gamma = alpha_of_gamma(ell, gamma)
@@ -455,12 +451,6 @@ def strengthened_adaswitch_oltq(ell: int, requests, prediction, gamma: float,
         report.phi_star = sequence_distance(problem, requests, prediction,
                                             cap=float(ell + 1)).capped_total
     return report
-
-
-def _coerce(ell: int, requests) -> RequestSequence:
-    if isinstance(requests, RequestSequence):
-        return requests
-    return make_requests(ell, requests)
 
 
 def write_instance(path: str, ell: int, arrivals: Sequence[int]) -> None:

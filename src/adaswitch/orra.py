@@ -267,10 +267,6 @@ class PrrStarOracle(OnlineOracle):
         return PrrStarPolicy(self.params, m)
 
 
-def prr_star_policy(params: OrraParams, m: int) -> PrrStarPolicy:
-    return PrrStarPolicy(params, m)
-
-
 def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
                    alpha: float = 3.0, seed: int = 0,
                    gamma_oracle: Optional[OfflineOracle] = None,
@@ -281,8 +277,8 @@ def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
     policy online and the exact DP (or a supplied approximate oracle)
     offline."""
     problem = problem_instance(params)
-    requests = _coerce(params, requests)
-    prediction = _coerce(params, prediction)
+    requests = make_requests(params, requests)
+    prediction = make_requests(params, prediction)
     oracle = gamma_oracle if gamma_oracle is not None else OrraDpOracle(params)
     online = PrrStarOracle(params, eta=eta_online)
     config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(params.d),
@@ -296,18 +292,16 @@ def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
     return report
 
 
-def _coerce(params: OrraParams, requests) -> RequestSequence:
-    if isinstance(requests, RequestSequence):
-        return requests
-    items = [tuple(int(x) for x in e) for e in requests]
+def make_requests(params: OrraParams, rows) -> RequestSequence:
+    """0/1 eligibility rows to a request sequence; a RequestSequence passes
+    through unchanged."""
+    if isinstance(rows, RequestSequence):
+        return rows
+    items = [tuple(int(x) for x in e) for e in rows]
     for t, e in enumerate(items, start=1):
         if len(e) != params.n or any(x not in (0, 1) for x in e):
             raise ValueError(f"request at period {t} must be a length-{params.n} 0/1 vector")
     return RequestSequence(items, null_request=params.null_request)
-
-
-def make_requests(params: OrraParams, rows: Sequence[Sequence[int]]) -> RequestSequence:
-    return _coerce(params, rows)
 
 
 def write_instance(path: str, params: OrraParams, requests: RequestSequence) -> None:

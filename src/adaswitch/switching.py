@@ -12,7 +12,9 @@ Four variants are provided: reward maximization or cost minimization,
 crossed with an exact offline solver or a multiplicative-approximation
 ("gamma") solver.  The gamma variants replace per-period re-solving with
 batched plans and estimate the online policy's running value by Monte Carlo
-simulation.  All threshold formulas live in :func:`threshold_table`.
+simulation.  One loop runs all four; the oracle kind picks its conservative
+signal and its predictive planner.  All threshold formulas live in
+:func:`threshold_table`.
 """
 
 from __future__ import annotations
@@ -259,9 +261,6 @@ class CompetitiveReport:
     fallback_fired: bool = False
     trajectory: Optional[Trajectory] = None
 
-    CSV_HEADER = ("instance,seed,variant,epsilon,b,c,alpha,val,opt,ratio,"
-                  "phi_star,switches,bound_T1,bound_T2,mc_deviation")
-
     @property
     def ratio(self) -> Optional[float]:
         if self.opt is None or self.opt == 0:
@@ -271,26 +270,6 @@ class CompetitiveReport:
     @property
     def ratio_undefined(self) -> bool:
         return self.opt is None or self.opt == 0
-
-    def csv_row(self) -> str:
-        ratio = "" if self.ratio is None else _fmt(self.ratio)
-        cells = [
-            self.instance_id, str(self.seed), self.variant,
-            _fmt(self.epsilon), _fmt(self.b), _fmt(self.c),
-            "" if self.alpha is None else _fmt(self.alpha),
-            _fmt(self.val), "" if self.opt is None else _fmt(self.opt),
-            ratio, _fmt(self.phi_star), str(self.switch_count),
-            _fmt(self.bounds.get("T1", self.bounds.get("T3", math.nan))),
-            _fmt(self.bounds.get("T2", self.bounds.get("T4", math.nan))),
-            "1" if self.mc_deviation else "0",
-        ]
-        return ",".join(cells)
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
 
 
 class _Plan:
@@ -408,110 +387,22 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     """Two-state switching loop with an exact (gamma = 1) offline oracle.
 
     Handles both objectives; the cost flavor differs only in its thresholds
-    and in the offline solver minimizing.  In the predictive state the plan
-    against (observed request, predicted suffix) is recomputed whenever the
+    and in the offline solver minimizing.  The conservative signal is the
+    oracle's window monitor.  In the predictive state the plan against
+    (observed request, predicted suffix) is recomputed whenever the
     prediction misses; while it matches, continuing the cached plan realizes
     the same value as re-solving every period, since any suffix of an
     optimal plan stays optimal along the predicted path.  An oracle with
     ties (the k-server flow) may pick a different, equally good plan when
     re-solved, so after a later miss the two can diverge.
     """
-    eta = online_oracle.eta
+    if config.oracle_kind != "exact":
+        raise ConfigurationError("run_adaswitch_exact needs oracle_kind 'exact', "
+                                 f"got {config.oracle_kind!r}")
     if offline_oracle.gamma != 1.0:
         raise ConfigurationError("run_adaswitch_exact needs an exact offline oracle")
-    validate_config(config, eta, 1.0)
-    L = problem.reward_bound
-    thr = threshold_table(config, eta, 1.0, L)
-    cap = config.c / config.b
-
-    sim = problem.new_simulator(start_prefix)
-    t0 = (start_prefix.m if start_prefix is not None else 0) + 1
-    horizon = requests.effective_length
-
-    mode = CONSERVATIVE
-    tau = t0
-    policy = online_oracle.restart(sim, tau - 1)
-    monitor = offline_oracle.monitor(sim, tau)
-    phase_monitor: Optional[WindowMonitor] = None  # regret mode only
-    phase_val = 0.0
-    plan: Optional[_Plan] = None
-    phi = 0.0
-    total = 0.0
-    switches = 0
-    epochs: list[tuple[int, str]] = [(tau, CONSERVATIVE)] if t0 <= horizon else []
-    prefix = start_prefix if start_prefix is not None else Trajectory()
-    log_requests = list(prefix.requests)
-    log_actions = list(prefix.actions)
-    log_rewards = list(prefix.rewards)
-
-    def record(e, a, r):
-        log_requests.append(e)
-        log_actions.append(a)
-        log_rewards.append(r)
-
-    for t in range(t0, horizon + 1):
-        e = requests.at(t)
-        if mode == CONSERVATIVE:
-            a = policy.act(t, e, stream(config.seed, "online", tau, t))
-            problem.check_action(t, e, a)
-            r = sim.step(t, e, a)
-            record(e, a, r)
-            total += r
-            s = monitor.append(t, e)
-            if s >= thr.conservative_exit and t < horizon:
-                mode = PREDICTIVE
-                phi = 0.0
-                plan = None
-                phase_val = 0.0
-                if config.switching_mode == REGRET_BASED:
-                    phase_monitor = offline_oracle.monitor(sim, t + 1)
-                epochs.append((t + 1, PREDICTIVE))
-        else:
-            e_pred = prediction.at(t)
-            if plan is None or not plan.covers(t) or e != e_pred:
-                hp = _estimate_horizon(problem, t, prediction, horizon)
-                window = [e] + prediction.window(t + 1, hp)
-                _, actions = offline_oracle.solve(sim.clone(), t, window)
-                plan = _Plan(t, actions)
-            a = plan.action_at(t)
-            problem.check_action(t, e, a)
-            r = sim.step(t, e, a)
-            record(e, a, r)
-            total += r
-            phi += min(problem.distance_fn(e, e_pred), cap)
-            if config.switching_mode == REGRET_BASED:
-                phase_val += r
-                phase_opt = phase_monitor.append(t, e)
-                revert = regret_based_switch_check(eta, config.epsilon, config.c,
-                                                   L, phase_opt, phase_val)
-            else:
-                revert = phi >= thr.predictive_exit
-            if revert and t < horizon:
-                mode = CONSERVATIVE
-                tau = t + 1
-                switches += 1
-                policy = online_oracle.restart(sim, tau - 1)
-                monitor = offline_oracle.monitor(sim, tau)
-                epochs.append((tau, CONSERVATIVE))
-            elif revert:
-                switches += 1
-
-    traj = Trajectory(tuple(log_requests), tuple(log_actions), tuple(log_rewards))
-    phi_star = sequence_distance(problem, requests, prediction, cap=cap).capped_total
-    prefix_val = start_prefix.cumulative if start_prefix is not None else 0.0
-
-    opt_value = offline_oracle.value(problem.new_simulator(), 1,
-                                     requests.window(1, horizon))
-    report = CompetitiveReport(
-        instance_id=instance_id, seed=config.seed,
-        variant=f"exact-{config.objective}",
-        epsilon=config.epsilon, b=config.b, c=config.c, alpha=config.alpha,
-        eta=eta, gamma=1.0,
-        val=prefix_val + total, opt=opt_value,
-        phi_star=phi_star, switch_count=switches, epochs=tuple(epochs),
-        trajectory=traj)
-    _attach_core_bound(report, config, problem)
-    return report
+    return _run_switching(problem, requests, prediction, offline_oracle,
+                          online_oracle, config, start_prefix, instance_id)
 
 
 def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
@@ -523,7 +414,7 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
                         instance_id: str = "") -> CompetitiveReport:
     """Batched switching loop for approximate offline oracles.
 
-    The conservative monitor is a Monte Carlo estimate of the online
+    The conservative signal is a Monte Carlo estimate of the online
     policy's value over the current window (exact single rollout for
     deterministic policies), cut short once the comparison with the
     conservative exit is settled.  Predictive periods run in batches: each batch
@@ -533,126 +424,145 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
     the horizon ends first, the run falls back to lexicographically-first
     actions for the rest of the phase and flags that the fallback fired.
     """
+    if config.oracle_kind != "gamma":
+        raise ConfigurationError("run_adaswitch_gamma needs oracle_kind 'gamma', "
+                                 f"got {config.oracle_kind!r}")
+    return _run_switching(problem, requests, prediction, gamma_oracle,
+                          online_oracle, config, start_prefix, instance_id)
+
+
+def _run_switching(problem: ProblemInstance, requests: RequestSequence,
+                   prediction: RequestSequence, offline_oracle: OfflineOracle,
+                   online_oracle: OnlineOracle, config: AdaSwitchConfig,
+                   start_prefix: Optional[Trajectory],
+                   instance_id: str) -> CompetitiveReport:
+    """The switching loop behind both entry points.  ``config.oracle_kind``
+    picks the conservative signal (window monitor, or phase value / Monte
+    Carlo estimate) and the predictive planner (replan on a miss, or batch
+    growth); everything else is shared."""
+    exact = config.oracle_kind == "exact"
     eta = online_oracle.eta
-    gamma = gamma_oracle.gamma
+    gamma = offline_oracle.gamma
     validate_config(config, eta, gamma)
     L = problem.reward_bound
     thr = threshold_table(config, eta, gamma, L)
     cap = config.c / config.b
+    regret = config.switching_mode == REGRET_BASED
+    estimate = not exact and not online_oracle.deterministic
 
     sim = problem.new_simulator(start_prefix)
-    t0 = (start_prefix.m if start_prefix is not None else 0) + 1
+    prefix = start_prefix if start_prefix is not None else Trajectory()
     horizon = requests.effective_length
 
-    mode = CONSERVATIVE
-    tau = t0
-    policy = online_oracle.restart(sim, tau - 1)
-    phase_snapshot = sim.clone()
-    phase_window: list[Any] = []
-    phase_val = 0.0
+    conservative = True
+    tau = prefix.m + 1  # start of the conservative phase; restarts happen there
+    tau_p: Optional[int] = None  # start of the next gamma batch
     plan: Optional[_Plan] = None
-    tau_p: Optional[int] = None  # None while conservative; math.inf after fallback
+    phase_val = 0.0  # value realized in the current phase
     phi = 0.0
     total = 0.0
     switches = 0
     mc_deviation = False
     fallback_fired = False
-    epochs: list[tuple[int, str]] = [(tau, CONSERVATIVE)] if t0 <= horizon else []
-    prefix = start_prefix if start_prefix is not None else Trajectory()
+    epochs: list[tuple[int, str]] = []
     log_requests = list(prefix.requests)
     log_actions = list(prefix.actions)
     log_rewards = list(prefix.rewards)
 
-    def record(e, a, r):
-        log_requests.append(e)
-        log_actions.append(a)
-        log_rewards.append(r)
-
-    for t in range(t0, horizon + 1):
+    for t in range(tau, horizon + 1):
         e = requests.at(t)
-        if mode == CONSERVATIVE:
+        if conservative:
+            if t == tau:
+                policy = online_oracle.restart(sim, tau - 1)
+                if exact:
+                    monitor = offline_oracle.monitor(sim, tau)
+                else:
+                    phase_snapshot = sim.clone()
+                    phase_window: list[Any] = []
+                phase_val = 0.0
+                epochs.append((tau, CONSERVATIVE))
             a = policy.act(t, e, stream(config.seed, "online", tau, t))
-            problem.check_action(t, e, a)
-            r = sim.step(t, e, a)
-            record(e, a, r)
-            total += r
-            phase_window.append(e)
-            phase_val += r
-            if online_oracle.deterministic:
-                s = phase_val
-            else:
-                s, capped = _mc_estimate(problem, phase_snapshot, phase_window,
-                                         online_oracle, tau, t, config,
-                                         threshold=thr.conservative_exit)
-                mc_deviation = mc_deviation or capped
-            ok = s >= thr.conservative_exit
-            if ok and thr.needs_opt_estimate:
-                u, _ = gamma_oracle.solve(phase_snapshot.clone(), tau, phase_window)
-                ok = u >= gamma
-            if ok and t < horizon:
-                mode = PREDICTIVE
-                tau_p = t + 1
-                phi = 0.0
-                plan = None
-                epochs.append((t + 1, PREDICTIVE))
         else:
-            if tau_p is not None and t == tau_p:
+            e_pred = prediction.at(t)
+            if exact:
+                if plan is None or not plan.covers(t) or e != e_pred:
+                    hp = _estimate_horizon(problem, t, prediction, horizon)
+                    window = [e] + prediction.window(t + 1, hp)
+                    plan = _Plan(t, offline_oracle.solve(sim.clone(), t, window)[1])
+            elif t == tau_p:
                 # A new batch starts: grow it one predicted period at a time.
                 hp = _estimate_horizon(problem, t, prediction, horizon)
                 plan_value = 0.0
-                plan_actions: list = []
-                tp = tau_p
+                tp = t
                 while tp <= hp and plan_value < thr.batch_stop:
                     window = [e] + prediction.window(t + 1, tp)
-                    plan_value, plan_actions = gamma_oracle.solve(sim.clone(), t, window)
+                    plan_value, actions = offline_oracle.solve(sim.clone(), t, window)
                     tp += 1
                 if plan_value < thr.batch_stop:
-                    tau_p = None  # no further batches this phase
-                    plan = None
+                    plan = tau_p = None  # no further batches this phase
                     fallback_fired = True
                 else:
+                    plan = _Plan(t, actions)
                     tau_p = tp
-                    plan = _Plan(t, plan_actions)
-            if plan is not None and plan.covers(t):
-                a = plan.action_at(t)
+            a = plan.action_at(t) if plan is not None else _first_action(problem, t, e)
+        problem.check_action(t, e, a)
+        r = sim.step(t, e, a)
+        log_requests.append(e)
+        log_actions.append(a)
+        log_rewards.append(r)
+        total += r
+        phase_val += r
+
+        if conservative:
+            if exact:
+                s = monitor.append(t, e)
             else:
-                a = _first_action(problem, t, e)
-            problem.check_action(t, e, a)
-            r = sim.step(t, e, a)
-            record(e, a, r)
-            total += r
-            phi += min(problem.distance_fn(e, prediction.at(t)), cap)
-            if phi >= thr.predictive_exit:
+                phase_window.append(e)
+                s = phase_val
+                if estimate:
+                    s, capped = _mc_estimate(problem, phase_snapshot, phase_window,
+                                             online_oracle, tau, t, config,
+                                             threshold=thr.conservative_exit)
+                    mc_deviation = mc_deviation or capped
+            ok = s >= thr.conservative_exit
+            if ok and thr.needs_opt_estimate:
+                u, _ = offline_oracle.solve(phase_snapshot.clone(), tau, phase_window)
+                ok = u >= gamma
+            if ok and t < horizon:
+                conservative = False
+                tau_p = t + 1
+                plan = None
+                phi = 0.0
+                phase_val = 0.0
+                if regret:
+                    phase_monitor = offline_oracle.monitor(sim, t + 1)
+                epochs.append((t + 1, PREDICTIVE))
+        else:
+            phi += min(problem.distance_fn(e, e_pred), cap)
+            if regret:
+                revert = regret_based_switch_check(eta, config.epsilon, config.c, L,
+                                                   phase_monitor.append(t, e), phase_val)
+            else:
+                revert = phi >= thr.predictive_exit
+            if revert:
                 switches += 1
-                if t < horizon:
-                    mode = CONSERVATIVE
-                    tau = t + 1
-                    policy = online_oracle.restart(sim, tau - 1)
-                    phase_snapshot = sim.clone()
-                    phase_window = []
-                    phase_val = 0.0
-                    plan = None
-                    tau_p = None
-                    epochs.append((tau, CONSERVATIVE))
+                conservative = True
+                tau = t + 1
 
-    traj = Trajectory(tuple(log_requests), tuple(log_actions), tuple(log_rewards))
-    phi_star = sequence_distance(problem, requests, prediction, cap=cap).capped_total
-    prefix_val = start_prefix.cumulative if start_prefix is not None else 0.0
-
-    opt_value, _ = gamma_oracle.solve(problem.new_simulator(), 1,
-                                      requests.window(1, horizon))
-    flags: tuple[str, ...] = ()
-    if gamma != 1.0:
-        flags += ("opt-approx",)
     report = CompetitiveReport(
         instance_id=instance_id, seed=config.seed,
-        variant=f"gamma-{config.objective}",
+        variant=f"{config.oracle_kind}-{config.objective}",
         epsilon=config.epsilon, b=config.b, c=config.c, alpha=config.alpha,
         eta=eta, gamma=gamma,
-        val=prefix_val + total, opt=opt_value,
-        phi_star=phi_star, switch_count=switches, epochs=tuple(epochs),
-        flags=flags, mc_deviation=mc_deviation, fallback_fired=fallback_fired,
-        trajectory=traj)
+        val=prefix.cumulative + total,
+        opt=offline_oracle.value(problem.new_simulator(), 1,
+                                 requests.window(1, horizon)),
+        phi_star=sequence_distance(problem, requests, prediction, cap=cap).capped_total,
+        switch_count=switches, epochs=tuple(epochs),
+        flags=() if gamma == 1.0 else ("opt-approx",),
+        mc_deviation=mc_deviation, fallback_fired=fallback_fired,
+        trajectory=Trajectory(tuple(log_requests), tuple(log_actions),
+                              tuple(log_rewards)))
     _attach_core_bound(report, config, problem)
     return report
 
@@ -713,7 +623,8 @@ def theoretical_bound(theorem: str, **kw: float) -> float:
 
     T1/T1pre: exact-oracle reward bound against the realized / predicted
     optimum.  T2/T2pre: the gamma-oracle analogues.  T3/T4: the cost
-    variants.  T5: the lead-time-quotation instantiation.  T7: the caching
+    variants.  T5: the lead-time-quotation instantiation.  T6: the general
+    k-server instantiation (work function online).  T7: the caching
     instantiation.  Inputs outside a theorem's preconditions raise
     ConfigurationError naming the failed condition.
     """
@@ -766,6 +677,18 @@ def theoretical_bound(theorem: str, **kw: float) -> float:
         if opt <= 0:
             raise ConfigurationError("T5 requires opt > 0")
         return max(eta - eps, 1 - ell * (24 * ell + 8 * eta * phi) / (eps * opt))
+    if theorem == "T6":
+        eta, eps, k, opt, phi = _require(
+            kw, ["eta", "epsilon", "k", "opt", "phi_star"], theorem)
+        if eps <= 0:
+            raise ConfigurationError("T6 requires epsilon > 0")
+        if k < 1:
+            raise ConfigurationError("T6 requires k >= 1")
+        if opt <= 0:
+            raise ConfigurationError("T6 requires opt > 0")
+        return 1.0 + min(eta + eps,
+                         (14 * eta * (eta + eps) * k + (14 * eta + 4 * eps) * phi)
+                         / (eps * opt))
     if theorem == "T7":
         k, opt, phi = _require(kw, ["k", "opt", "phi_star"], theorem)
         if k < 1:

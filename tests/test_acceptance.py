@@ -177,7 +177,7 @@ def test_criterion_2_online_oracle_guarantees(oltq_suite, kserver_suite):
         total = 0.0
         for seed in range(500):
             sim = problem.new_simulator()
-            policy = orra.prr_star_policy(params, 0)
+            policy = orra.PrrStarPolicy(params, 0)
             prng = random.Random(seed)
             total += sum(sim.step(t, e, policy.act(t, e, prng))
                          for t, e in enumerate(window, start=1))

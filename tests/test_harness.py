@@ -132,6 +132,13 @@ class TestSpecParsing:
             paths += [pathlib.Path(u.spec) for u in workload.write_round(str(tmp_path), 0, 0)]
         for path in paths:
             harness.parse_spec(path.read_text())
+        # Each application accepts only the keys its instance builder reads.
+        for text, key in ((SMALL_SPEC + "metric m.txt\n", "'metric'"),
+                          ("app orra\ngrid 0.2\nalgorithm.name adaswitch\n"
+                           "algorithm.Z 4\n", "'algorithm.Z'")):
+            lineno = len(text.splitlines())
+            with pytest.raises(ValueError, match=f"line {lineno}: unknown spec key {key}"):
+                harness.parse_spec(text)
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -261,6 +268,15 @@ class TestEmission:
                     assert back[key] is None
                 else:
                     assert back[key] == row[key]
+
+    def test_undefined_ratio_serializes_empty(self):
+        row = {"app": "oltq", "algorithm": "adaswitch", "sweep_axis": "robustness",
+               "sweep_value": 0.2, "seed": 0, "val": 0.0, "opt": 0.0, "ratio": None,
+               "phi_star": 0.0, "switches": 0, "bound": None, "flags": ""}
+        cells = harness.row_to_csv(row).split(",")
+        header = harness.CSV_HEADER.split(",")
+        assert cells[header.index("ratio")] == ""
+        assert cells[header.index("opt")] == "0.0"
 
     def test_svg_single_point(self, tmp_path):
         spec = harness.parse_spec(SMALL_SPEC)

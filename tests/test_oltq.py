@@ -132,12 +132,12 @@ class TestQFracStar:
     def test_step_examples(self):
         oracle = oltq.QFracStarOracle(2)
         policy = oracle.restart(oltq.OltqSimulator(2), 0)
-        action, policy = oltq.qfrac_star_step(policy, 1, 2)
+        action = policy.act(1, 2, random.Random(0))
         assert action == (1, 2)
         assert policy.next_slot == 3
 
         policy = oracle.restart(oltq.OltqSimulator(2), 0)
-        action, policy = oltq.qfrac_star_step(policy, 1, 1)
+        action = policy.act(1, 1, random.Random(0))
         assert action == (1,)
         assert policy.next_slot == 2
 

@@ -88,14 +88,14 @@ class TestOfflineDp:
 class TestPrrStar:
     def test_single_resource_greedy(self):
         params = orra.OrraParams(1, 2)
-        policy = orra.prr_star_policy(params, 0)
+        policy = orra.PrrStarPolicy(params, 0)
         rng = random.Random(0)
         acts = [policy.act(t, (1,), rng) for t in range(1, 6)]
         assert acts == [1, 0, 1, 0, 1]
 
     def test_reset_ignores_early_requests(self):
         params = orra.OrraParams(2, 3)
-        policy = orra.prr_star_policy(params, 2)
+        policy = orra.PrrStarPolicy(params, 2)
         rng = random.Random(0)
         assert policy.act(3, (1, 1), rng) == 0
         assert policy.act(4, (1, 1), rng) == 0
@@ -120,7 +120,7 @@ class TestPrrStar:
             served = []
             for seed in range(120):
                 sim = problem.new_simulator()
-                policy = orra.prr_star_policy(params, 0)
+                policy = orra.PrrStarPolicy(params, 0)
                 prng = random.Random(seed)
                 served.append(sum(sim.step(t, e, policy.act(t, e, prng))
                                   for t, e in enumerate(window, start=1)))

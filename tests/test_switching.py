@@ -7,13 +7,13 @@ import pytest
 
 from adaswitch import (
     AdaSwitchConfig,
-    CompetitiveReport,
     ConfigurationError,
     Trajectory,
     monte_carlo_estimate,
     regret_based_switch_check,
     run_adaswitch_cost,
     run_adaswitch_exact,
+    run_adaswitch_gamma,
     theoretical_bound,
     threshold_table,
 )
@@ -80,6 +80,24 @@ class TestConfigValidation:
         config = AdaSwitchConfig(epsilon=math.nan, b=1.0, c=3.0)
         with pytest.raises(ConfigurationError, match="^epsilon must be finite"):
             oltq_run(config)
+
+    def test_exact_runner_rejects_gamma_kind(self):
+        config = AdaSwitchConfig(epsilon=0.1, b=1.0, c=3.0, alpha=20.0,
+                                 oracle_kind="gamma")
+        with pytest.raises(ConfigurationError,
+                           match="run_adaswitch_exact needs oracle_kind 'exact', got 'gamma'"):
+            oltq_run(config)
+
+    def test_gamma_runner_rejects_exact_kind(self):
+        params = orra.OrraParams(2, 2)
+        reqs = orra.make_requests(params, [(1, 1)] * 6)
+        config = AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0, alpha=3.0,
+                                 oracle_kind="exact")
+        with pytest.raises(ConfigurationError,
+                           match="run_adaswitch_gamma needs oracle_kind 'gamma', got 'exact'"):
+            run_adaswitch_gamma(orra.problem_instance(params), reqs, reqs,
+                                orra.OrraDpOracle(params), orra.PrrStarOracle(params),
+                                config)
 
     def test_cost_wrapper_rejects_nan_epsilon(self):
         m = ks.MetricSpace.uniform(["a", "b", "c"])
@@ -155,6 +173,23 @@ class TestTheoreticalBound:
         assert t7 == pytest.approx(t3, rel=1e-12)
         assert t7 == pytest.approx(
             1 + (56 * k * (math.log(k) + 1) + 18 * phi) / opt, rel=1e-12)
+
+    def test_t6_value(self):
+        eta, eps, k, opt, phi = 3.0, 1.5, 2.0, 40.0, 6.0
+        got = theoretical_bound("T6", eta=eta, epsilon=eps, k=k, opt=opt, phi_star=phi)
+        assert got == 1.0 + min(eta + eps, (14 * eta * (eta + eps) * k
+                                            + (14 * eta + 4 * eps) * phi) / (eps * opt))
+        # A large optimum leaves the instance-dependent branch binding.
+        big = theoretical_bound("T6", eta=eta, epsilon=eps, k=k, opt=1e9, phi_star=phi)
+        assert 1.0 < big < 1.0 + 1e-6
+
+    def test_t6_preconditions(self):
+        with pytest.raises(ConfigurationError, match="T6 needs input 'k'"):
+            theoretical_bound("T6", eta=3.0, epsilon=1.0, opt=10.0, phi_star=0.0)
+        with pytest.raises(ConfigurationError, match="T6 requires epsilon > 0"):
+            theoretical_bound("T6", eta=3.0, epsilon=0.0, k=2.0, opt=10.0, phi_star=0.0)
+        with pytest.raises(ConfigurationError, match="T6 requires opt > 0"):
+            theoretical_bound("T6", eta=3.0, epsilon=1.0, k=2.0, opt=0.0, phi_star=0.0)
 
     def test_precondition_errors_name_condition(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
@@ -417,16 +452,3 @@ class TestCostRunner:
                                     ks.MarkingOracle(metric, k), config)
         assert report.variant == "gamma-min"
         assert report.val >= report.opt  # a cost run can never beat optimum
-
-
-class TestReportCsv:
-    def test_row_shape(self):
-        report = oltq.adaswitch_oltq(2, [1, 2, 1], [1, 2, 1], epsilon=0.2)
-        row = report.csv_row()
-        assert len(row.split(",")) == len(CompetitiveReport.CSV_HEADER.split(","))
-
-    def test_ratio_undefined_serializes_empty(self):
-        report = oltq.adaswitch_oltq(2, [], [], epsilon=0.2)
-        cells = report.csv_row().split(",")
-        header = CompetitiveReport.CSV_HEADER.split(",")
-        assert cells[header.index("ratio")] == ""
