@@ -30,7 +30,6 @@ from .switching import (
     OnlineOracle,
     monte_carlo_estimate,
     regret_based_switch_check,
-    run_adaswitch_cost,
     run_adaswitch_exact,
     run_adaswitch_gamma,
     theoretical_bound,
@@ -58,7 +57,6 @@ __all__ = [
     "evaluate_trajectory",
     "monte_carlo_estimate",
     "regret_based_switch_check",
-    "run_adaswitch_cost",
     "run_adaswitch_exact",
     "run_adaswitch_gamma",
     "sequence_distance",

@@ -175,17 +175,19 @@ class Simulator:
 class ProblemInstance:
     """Contract an application exposes to the framework and the meta-runner.
 
-    ``reward_fn(requests, actions)`` returns the period-``len(requests)``
-    value of the full prefix, always inside ``[0, reward_bound]``.
-    ``action_space(t, e)`` enumerates period ``t``'s candidate actions for
-    request ``e`` in the application's documented tie-break order.
-    ``distance_fn`` is symmetric and zero on identical requests.
     ``simulator_factory()`` returns the application's simulator at the
-    start state.
+    start state; every value its ``step`` returns lies inside
+    ``[0, reward_bound]``.  ``objective`` says whether those values are
+    rewards to maximize or costs to minimize.  ``action_space(t, e)``
+    enumerates period ``t``'s candidate actions for request ``e`` in the
+    application's documented tie-break order.  ``distance_fn`` is symmetric
+    and zero on identical requests.  ``estimate_m(i, prediction)`` bounds
+    the effective length of ``i`` observed periods followed by the
+    prediction's suffix.  ``validate_action(t, e, a)``, when given, raises
+    InvalidActionError for an action outside the period's action set.
     """
 
     name: str
-    reward_fn: Callable[[Sequence[Any], Sequence[Any]], float]
     action_space: Callable[[int, Any], Sequence[Any]]
     reward_bound: float
     distance_fn: Callable[[Any, Any], float]
@@ -193,10 +195,9 @@ class ProblemInstance:
     lipschitz_v: float
     influence_f: float
     objective: str
-    null_request: Any
     simulator_factory: Callable[[], Simulator]
+    estimate_m: Callable[[int, RequestSequence], int]
     validate_action: Optional[Callable[[int, Any, Any], None]] = None
-    estimate_m: Optional[Callable[[int, RequestSequence], int]] = None
 
     def __post_init__(self):
         if self.objective not in (MAXIMIZE, MINIMIZE):
@@ -319,8 +320,6 @@ def effective_length_estimate(problem: ProblemInstance, observed_prefix: Sequenc
                               prediction: RequestSequence) -> int:
     """Upper bound on the effective length of observed-so-far followed by the
     prediction's suffix, per the application's declared rule."""
-    if problem.estimate_m is None:
-        raise ContractError(f"problem {problem.name!r} declares no effective-length estimator")
     return problem.estimate_m(len(observed_prefix), prediction)
 
 

@@ -34,6 +34,7 @@ from .framework import (
     Trajectory,
     sequence_distance,
 )
+from . import switching
 from .switching import (
     AdaSwitchConfig,
     CompetitiveReport,
@@ -41,7 +42,6 @@ from .switching import (
     OnlineOracle,
     OnlinePolicy,
     WindowMonitor,
-    run_adaswitch_cost,
     theoretical_bound,
     validate_config,
 )
@@ -113,7 +113,15 @@ class ServerConfig:
         return len(self.positions)
 
 
+def _validate_kserver_action(k: int, t: int, action: Any) -> None:
+    if not isinstance(action, int) or not 1 <= action <= k:
+        raise InvalidActionError(t, action, f"server index must be in 1..{k}")
+
+
 class KserverSimulator(Simulator):
+    """A step moves the chosen server to the request and costs the moved
+    distance; the empty request costs nothing, whatever the action."""
+
     def __init__(self, metric: MetricSpace, positions: Sequence[str]):
         self.metric = metric
         self.positions = list(positions)
@@ -121,9 +129,7 @@ class KserverSimulator(Simulator):
     def step(self, t: int, request: Any, action: Any) -> float:
         if request is BOT:
             return 0.0
-        k = len(self.positions)
-        if not isinstance(action, int) or not 1 <= action <= k:
-            raise InvalidActionError(t, action, f"server index must be in 1..{k}")
+        _validate_kserver_action(len(self.positions), t, action)
         cost = self.metric.d(self.positions[action - 1], request)
         self.positions[action - 1] = request
         return cost
@@ -132,35 +138,16 @@ class KserverSimulator(Simulator):
         return KserverSimulator(self.metric, self.positions)
 
 
-def kserver_cost(metric: MetricSpace, initial: ServerConfig,
-                 requests: Sequence[Any], actions: Sequence[Any]) -> float:
-    """Cost of the last prefix period: the chosen server's moving distance,
-    with positions tracked through the prefix; zero on the empty request."""
-    sim = KserverSimulator(metric, initial.positions)
-    cost = 0.0
-    for t, (e, a) in enumerate(zip(requests, actions), start=1):
-        cost = sim.step(t, e, a)
-    return cost
-
-
 def problem_instance(metric: MetricSpace, initial: ServerConfig) -> ProblemInstance:
     k = initial.k
-
-    def reward_fn(requests, actions):
-        return kserver_cost(metric, initial, requests, actions)
 
     def action_space(t, e):
         # Any server serves the empty request at zero cost; a single
         # placeholder keeps exhaustive search from branching on nothing.
         return [1] if e is BOT else list(range(1, k + 1))
 
-    def validate(t, e, a):
-        if not isinstance(a, int) or not 1 <= a <= k:
-            raise InvalidActionError(t, a, f"server index must be in 1..{k}")
-
     return ProblemInstance(
         name=f"kserver(k={k},n={len(metric.points)})",
-        reward_fn=reward_fn,
         action_space=action_space,
         reward_bound=1.0,
         distance_fn=metric.d,
@@ -168,10 +155,9 @@ def problem_instance(metric: MetricSpace, initial: ServerConfig) -> ProblemInsta
         lipschitz_v=2.0,
         influence_f=float(k),
         objective=MINIMIZE,
-        null_request=BOT,
-        validate_action=validate,
         simulator_factory=lambda: KserverSimulator(metric, initial.positions),
         estimate_m=lambda i, prediction: max(i, prediction.support_length),
+        validate_action=lambda t, e, a: _validate_kserver_action(k, t, a),
     )
 
 
@@ -544,42 +530,29 @@ class WfaOracle(OnlineOracle):
 # Marking (uniform metric / caching).
 
 
-@dataclass
-class MarkingState:
-    cache: list
-    marks: set
-
-
-def marking_step(state: MarkingState, e: str, rng: random.Random) -> tuple[Optional[int], float]:
-    """One marking move on a uniform-metric cache: hits mark and cost 0;
-    misses start a new phase when everything is marked, then evict a
-    uniformly random unmarked slot at cost 1.  Returns (evicted slot index
-    or None on a hit, cost)."""
-    if e in state.cache:
-        state.marks.add(state.cache.index(e))
-        return None, 0.0
-    if len(state.marks) == len(state.cache):
-        state.marks.clear()
-    unmarked = [i for i in range(len(state.cache)) if i not in state.marks]
-    slot = unmarked[rng.randrange(len(unmarked))]
-    state.cache[slot] = e
-    state.marks.add(slot)
-    return slot, 1.0
-
-
 class MarkingPolicy(OnlinePolicy):
+    """Randomized marking on a uniform-metric cache: a hit marks its slot;
+    a miss starts a new phase when every slot is marked, then evicts a
+    uniformly random unmarked slot and marks it."""
+
     def __init__(self, cache: Sequence[str]):
-        self.state = MarkingState(cache=list(cache), marks=set())
+        self.cache = list(cache)
+        self.marks: set[int] = set()
 
     def act(self, t: int, request: Any, rng: random.Random) -> int:
         if request is BOT:
             return 1
-        if request in self.state.cache:
-            slot = self.state.cache.index(request)
-            self.state.marks.add(slot)
+        if request in self.cache:
+            slot = self.cache.index(request)
+            self.marks.add(slot)
             return slot + 1
-        evicted, _ = marking_step(self.state, request, rng)
-        return evicted + 1
+        if len(self.marks) == len(self.cache):
+            self.marks.clear()
+        unmarked = [i for i in range(len(self.cache)) if i not in self.marks]
+        slot = unmarked[rng.randrange(len(unmarked))]
+        self.cache[slot] = request
+        self.marks.add(slot)
+        return slot + 1
 
 
 class MarkingOracle(OnlineOracle):
@@ -600,10 +573,9 @@ class MarkingOracle(OnlineOracle):
 
 def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, prediction,
                   epsilon: Optional[float] = None, variant: str = "general",
-                  seed: int = 0, instance_id: str = "",
-                  monte_carlo_cap: int = 10_000) -> CompetitiveReport:
+                  seed: int = 0, instance_id: str = "") -> CompetitiveReport:
     """Serve requests for free while some server already covers them; on the
-    first unavoidable movement hand the rest of the stream to the cost
+    first unavoidable movement hand the rest of the stream to the exact
     runner with thresholds c = k, b = 2 and the section's online oracle
     (work function in general, marking under the uniform metric)."""
     k = initial.k
@@ -631,10 +603,8 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(k), seed=seed,
-                             objective=MINIMIZE, oracle_kind="exact",
-                             monte_carlo_cap=monte_carlo_cap)
-    validate_config(config, online.eta, 1.0)
+    config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(k), seed=seed)
+    validate_config(config, problem.objective, "exact", online.eta, 1.0)
 
     horizon = requests.effective_length
     sim = problem.new_simulator()
@@ -669,8 +639,11 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
             trajectory=traj)
         return report
 
-    report = run_adaswitch_cost(problem, requests, prediction, offline, online,
-                                config, start_prefix=traj, instance_id=instance_id)
+    # Looked up on the module, so a wrapper installed there (the benchmark's
+    # span tracer) sees this call.
+    report = switching.run_adaswitch_exact(problem, requests, prediction, offline,
+                                           online, config, start_prefix=traj,
+                                           instance_id=instance_id)
     report.variant = f"adaswitch-{'ca' if variant == 'caching' else 'kse'}"
     raw_errors = sequence_distance(problem, requests, prediction).raw_total
     if report.opt and report.opt > 0:

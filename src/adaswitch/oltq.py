@@ -189,16 +189,12 @@ def _oltq_action_space(ell: int, t: int, e: int) -> list[tuple]:
 def problem_instance(ell: int) -> ProblemInstance:
     ell = OltqParams(int(ell)).ell  # validates the patience limit
 
-    def reward_fn(requests, actions):
-        return oltq_reward(ell, requests, actions)
-
     def estimate_m(i: int, prediction: RequestSequence) -> int:
         last = prediction.support_length
         return max(i, last) + ell - 1
 
     return ProblemInstance(
         name=f"oltq(ell={ell})",
-        reward_fn=reward_fn,
         action_space=lambda t, e: _oltq_action_space(ell, t, e),
         reward_bound=float(ell),
         distance_fn=lambda a, b: float(abs(a - b)),
@@ -206,10 +202,9 @@ def problem_instance(ell: int) -> ProblemInstance:
         lipschitz_v=float(ell),
         influence_f=2.0 * ell,
         objective=MAXIMIZE,
-        null_request=0,
-        validate_action=lambda t, e, a: _validate_oltq_action(ell, t, e, a),
         simulator_factory=lambda: OltqSimulator(ell),
         estimate_m=estimate_m,
+        validate_action=lambda t, e, a: _validate_oltq_action(ell, t, e, a),
     )
 
 
@@ -370,8 +365,7 @@ def adaswitch_oltq(ell: int, requests, prediction, epsilon: float,
     requests = make_requests(ell, requests)
     prediction = make_requests(ell, prediction)
     config = AdaSwitchConfig(epsilon=epsilon, b=1.0, c=float(ell + 1),
-                             seed=seed, switching_mode=switching_mode,
-                             objective=MAXIMIZE, oracle_kind="exact")
+                             seed=seed, switching_mode=switching_mode)
     report = run_adaswitch_exact(problem, requests, prediction, OhrrOracle(),
                                  QFracStarOracle(ell), config,
                                  instance_id=instance_id)

@@ -62,37 +62,26 @@ class AvailabilityVector:
     def fresh(cls, n: int) -> "AvailabilityVector":
         return cls([1] * n)
 
-    def available(self, i: int, t: int) -> bool:
-        return self.times[i - 1] <= t
-
     def clone(self) -> "AvailabilityVector":
         return AvailabilityVector(self.times)
 
 
-def orra_step(params: OrraParams, avail: AvailabilityVector, t: int,
-              request: Sequence[int], action: int) -> tuple[float, AvailabilityVector]:
-    """One recursion step: reward 1 iff a resource was picked, is eligible
-    and is available; on success its next-available time becomes t + d."""
-    if not isinstance(action, int) or not 0 <= action <= params.n:
-        raise InvalidActionError(t, action, f"action must be in 0..{params.n}")
-    out = avail.clone()
-    if action > 0 and request[action - 1] == 1 and avail.available(action, t):
-        out.times[action - 1] = t + params.d
-        return 1.0, out
-    return 0.0, out
+def _validate_orra_action(n: int, t: int, action: Any) -> None:
+    if not isinstance(action, int) or not 0 <= action <= n:
+        raise InvalidActionError(t, action, f"action must be in 0..{n}")
 
 
 class OrraSimulator(Simulator):
-    """In-place counterpart of the pure recursion step (hot path)."""
+    """The availability recursion: a step earns 1 iff a resource was
+    picked, is eligible and is available; on success its next-available
+    time becomes t + d."""
 
     def __init__(self, params: OrraParams, avail: Optional[AvailabilityVector] = None):
         self.params = params
         self.avail = avail if avail is not None else AvailabilityVector.fresh(params.n)
 
     def step(self, t: int, request: Any, action: Any) -> float:
-        if not isinstance(action, int) or not 0 <= action <= self.params.n:
-            raise InvalidActionError(t, action,
-                                     f"action must be in 0..{self.params.n}")
+        _validate_orra_action(self.params.n, t, action)
         times = self.avail.times
         if action > 0 and request[action - 1] == 1 and times[action - 1] <= t:
             times[action - 1] = t + self.params.d
@@ -106,20 +95,8 @@ class OrraSimulator(Simulator):
 def problem_instance(params: OrraParams) -> ProblemInstance:
     n, d = params.n, params.d
 
-    def reward_fn(requests, actions):
-        avail = AvailabilityVector.fresh(n)
-        reward = 0.0
-        for t, (e, a) in enumerate(zip(requests, actions), start=1):
-            reward, avail = orra_step(params, avail, t, e, a)
-        return reward
-
-    def validate(t, e, a):
-        if not isinstance(a, int) or not 0 <= a <= n:
-            raise InvalidActionError(t, a, f"action must be in 0..{n}")
-
     return ProblemInstance(
         name=f"orra(n={n},d={d})",
-        reward_fn=reward_fn,
         action_space=lambda t, e: list(range(0, n + 1)),
         reward_bound=1.0,
         distance_fn=lambda a, b: 0.0 if tuple(a) == tuple(b) else 1.0,
@@ -127,10 +104,9 @@ def problem_instance(params: OrraParams) -> ProblemInstance:
         lipschitz_v=1.0,
         influence_f=float(d),
         objective=MAXIMIZE,
-        null_request=params.null_request,
-        validate_action=validate,
         simulator_factory=lambda: OrraSimulator(params),
         estimate_m=lambda i, prediction: max(i, prediction.support_length),
+        validate_action=lambda t, e, a: _validate_orra_action(n, t, a),
     )
 
 
@@ -206,17 +182,13 @@ def orra_offline_dp(params: OrraParams, avail: AvailabilityVector, t0: int,
 
 
 class OrraDpOracle(OfflineOracle):
-    """Exact offline oracle; plug-in point for approximate solvers via the
-    same interface with a caller-asserted gamma."""
+    """Exact offline oracle: the DP of :func:`orra_offline_dp`."""
 
-    def __init__(self, params: OrraParams, gamma: float = 1.0,
-                 budget: int = DEFAULT_DP_BUDGET):
+    def __init__(self, params: OrraParams):
         self.params = params
-        self.gamma = gamma
-        self.budget = budget
 
     def solve(self, sim: Simulator, t0: int, window: Sequence[Any]) -> tuple[float, list]:
-        return orra_offline_dp(self.params, sim.avail, t0, window, self.budget)
+        return orra_offline_dp(self.params, sim.avail, t0, window)
 
 
 class PrrStarPolicy(OnlinePolicy):
@@ -269,26 +241,21 @@ class PrrStarOracle(OnlineOracle):
 
 def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
                    alpha: float = 3.0, seed: int = 0,
-                   gamma_oracle: Optional[OfflineOracle] = None,
                    eta_online: float = 0.589,
                    monte_carlo_cap: int = 10_000,
                    instance_id: str = "") -> CompetitiveReport:
     """Batched switching run with thresholds c = d and b = 2, the re-ranking
-    policy online and the exact DP (or a supplied approximate oracle)
-    offline."""
+    policy online and the exact DP offline.  An approximate offline oracle
+    goes straight to :func:`run_adaswitch_gamma`."""
     problem = problem_instance(params)
     requests = make_requests(params, requests)
     prediction = make_requests(params, prediction)
-    oracle = gamma_oracle if gamma_oracle is not None else OrraDpOracle(params)
     online = PrrStarOracle(params, eta=eta_online)
     config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(params.d),
-                             alpha=alpha, seed=seed, objective=MAXIMIZE,
-                             oracle_kind="gamma", monte_carlo_cap=monte_carlo_cap)
-    report = run_adaswitch_gamma(problem, requests, prediction, oracle, online,
-                                 config, instance_id=instance_id)
+                             alpha=alpha, seed=seed, monte_carlo_cap=monte_carlo_cap)
+    report = run_adaswitch_gamma(problem, requests, prediction, OrraDpOracle(params),
+                                 online, config, instance_id=instance_id)
     report.variant = "adaswitch-orra"
-    if oracle.gamma != 1.0:
-        report.flags += (f"asserted-gamma={oracle.gamma}",)
     return report
 
 

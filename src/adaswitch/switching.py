@@ -8,9 +8,10 @@ computed against the predicted continuation and tracks the accumulated
 (capped) prediction error, reverting to conservative once the error budget
 is spent.
 
-Four variants are provided: reward maximization or cost minimization,
-crossed with an exact offline solver or a multiplicative-approximation
-("gamma") solver.  The gamma variants replace per-period re-solving with
+Four variants are provided: reward maximization or cost minimization, as
+the problem declares, crossed with an exact offline solver
+(:func:`run_adaswitch_exact`) or a multiplicative-approximation ("gamma")
+solver (:func:`run_adaswitch_gamma`).  The gamma variants replace per-period re-solving with
 batched plans and estimate the online policy's running value by Monte Carlo
 simulation.  One loop runs all four; the oracle kind picks its conservative
 signal and its predictive planner.  All threshold formulas live in
@@ -65,20 +66,18 @@ class AdaSwitchConfig:
 
     ``b`` and ``c`` are the threshold parameters (set to the problem's
     Lipschitz slope and max(saturation, influence) respectively), ``alpha``
-    the batch parameter of the gamma variants.  ``monte_carlo_base_H`` and
-    ``monte_carlo_cap`` bound the rollout count ``min(H * t^5, cap)``.
+    the batch parameter of the gamma variants.  ``monte_carlo_cap`` bounds
+    the rollout count ``min(t^5, cap)``.  The objective comes from the
+    problem and the oracle kind from the runner called, not from here.
     """
 
     epsilon: float
     b: float
     c: float
     alpha: Optional[float] = None
-    monte_carlo_base_H: int = 1
     monte_carlo_cap: int = 10_000
     seed: int = 0
     switching_mode: str = ERROR_BASED
-    objective: str = MAXIMIZE
-    oracle_kind: str = "exact"
 
 
 @dataclass(frozen=True)
@@ -89,53 +88,49 @@ class Thresholds:
     needs_opt_estimate: bool = False
 
 
-def threshold_table(config: AdaSwitchConfig, eta: float, gamma: float,
-                    L: float) -> Thresholds:
+def threshold_table(config: AdaSwitchConfig, objective: str, kind: str,
+                    eta: float, gamma: float, L: float) -> Thresholds:
     """Switching thresholds per (objective, oracle kind).
 
-    conservative_exit bounds the monitored window value ``s``; the run
-    enters the predictive state at ``s >= conservative_exit``.
+    ``objective`` is ``"max"`` or ``"min"``, ``kind`` is ``"exact"`` or
+    ``"gamma"``.  conservative_exit bounds the monitored window value ``s``;
+    the run enters the predictive state at ``s >= conservative_exit``.
     predictive_exit bounds the accumulated capped error ``phi`` (inclusive
     comparison).  The gamma variants also stop extending a batch once its
     planned value reaches ``batch_stop``, and the cost/gamma variant
     additionally requires the approximate window optimum ``u >= gamma``.
     """
     e, b, c, a = config.epsilon, config.b, config.c, config.alpha
-    if config.objective == MAXIMIZE and config.oracle_kind == "exact":
+    if objective == MAXIMIZE and kind == "exact":
         thr = Thresholds(10 * c * L / e, 2 * c / (eta * b))
-    elif config.objective == MAXIMIZE and config.oracle_kind == "gamma":
+    elif objective == MAXIMIZE:
         slack = eta - 15 * e / 16
         thr = Thresholds(
             (16 * eta / e) * a * c * L,
             gamma * a / (slack * (a + gamma)) * (5 * a * c / b),
             batch_stop=a * c * L)
-    elif config.objective == MINIMIZE and config.oracle_kind == "exact":
+    elif kind == "exact":
         thr = Thresholds(10 * (eta + e) * c * L / e, 2 * (eta + e) * c / b)
-    elif config.objective == MINIMIZE and config.oracle_kind == "gamma":
+    else:
         thr = Thresholds(
             (18 * eta / e) * (eta + e) * gamma * a * c * L,
             5 * (eta + e) * a * c / b,
             batch_stop=a * c * L,
             needs_opt_estimate=True)
-    else:
-        raise ConfigurationError(
-            f"unknown variant ({config.objective}, {config.oracle_kind})")
     if thr.conservative_exit <= 0 or thr.predictive_exit <= 0:
         raise ConfigurationError("thresholds must be strictly positive")
     return thr
 
 
-def validate_config(config: AdaSwitchConfig, eta: float, gamma: float) -> None:
-    """Raise ConfigurationError naming the first violated precondition."""
-    if config.objective not in (MAXIMIZE, MINIMIZE):
-        raise ConfigurationError(f"objective must be max or min, got {config.objective!r}")
-    if config.oracle_kind not in ("exact", "gamma"):
-        raise ConfigurationError(f"oracle_kind must be exact or gamma, got {config.oracle_kind!r}")
+def validate_config(config: AdaSwitchConfig, objective: str, kind: str,
+                    eta: float, gamma: float) -> None:
+    """Raise ConfigurationError naming the first violated precondition of
+    ``config`` for the (objective, oracle kind) variant."""
     if config.switching_mode not in (ERROR_BASED, REGRET_BASED):
         raise ConfigurationError(f"unknown switching mode {config.switching_mode!r}")
-    if config.switching_mode == REGRET_BASED and config.oracle_kind != "exact":
+    if config.switching_mode == REGRET_BASED and kind != "exact":
         raise ConfigurationError("regret-based switching requires the exact offline oracle")
-    if config.switching_mode == REGRET_BASED and config.objective != MAXIMIZE:
+    if config.switching_mode == REGRET_BASED and objective != MAXIMIZE:
         raise ConfigurationError("regret-based switching is defined for the reward objective")
     # Every comparison below is false on NaN, so non-finite values would pass.
     for name in ("epsilon", "b", "c", "alpha"):
@@ -146,14 +141,14 @@ def validate_config(config: AdaSwitchConfig, eta: float, gamma: float) -> None:
         raise ConfigurationError(f"need c >= b >= 1, got c={config.c}, b={config.b}")
     if config.epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    if config.objective == MAXIMIZE and config.epsilon >= eta:
+    if objective == MAXIMIZE and config.epsilon >= eta:
         raise ConfigurationError(
             f"epsilon must lie in (0, eta), got epsilon={config.epsilon}, eta={eta}")
-    if config.oracle_kind == "gamma":
+    if kind == "gamma":
         a = config.alpha
         if a is None:
             raise ConfigurationError("gamma variants need the batch parameter alpha")
-        if config.objective == MAXIMIZE:
+        if objective == MAXIMIZE:
             if a < 3:
                 raise ConfigurationError(f"need alpha >= 3, got {a}")
             if gamma * a / (a + gamma) < eta - 15 * config.epsilon / 16 - 1e-12:
@@ -300,7 +295,7 @@ def monte_carlo_estimate(problem: ProblemInstance, prefix: Trajectory,
                          window: Sequence[Any], online_oracle: OnlineOracle,
                          t: int, config: AdaSwitchConfig) -> float:
     """Estimated value of the online policy restarted after ``prefix`` and
-    run over ``window``: the mean of ``min(H * t^5, cap)`` rollouts, or one
+    run over ``window``: the mean of ``min(t^5, cap)`` rollouts, or one
     exact rollout when the policy is declared deterministic."""
     snapshot = problem.new_simulator(prefix)
     value, _ = _mc_estimate(problem, snapshot, list(window), online_oracle,
@@ -318,7 +313,7 @@ def _mc_estimate(problem: ProblemInstance, snapshot: Simulator,
                  window: list[Any], oracle: OnlineOracle, tau: int, t: int,
                  config: AdaSwitchConfig,
                  threshold: Optional[float] = None) -> tuple[float, bool]:
-    """Mean value of ``min(H * t^5, cap)`` rollouts of the online policy
+    """Mean value of ``min(t^5, cap)`` rollouts of the online policy
     restarted from ``snapshot`` over ``window`` (one rollout for a
     deterministic policy), and whether the budget was capped.
 
@@ -336,7 +331,7 @@ def _mc_estimate(problem: ProblemInstance, snapshot: Simulator,
         n = 1
         capped = False
     else:
-        budget = config.monte_carlo_base_H * t ** 5
+        budget = t ** 5
         n = min(budget, config.monte_carlo_cap)
         capped = budget > config.monte_carlo_cap
     ceiling = len(window) * problem.reward_bound  # most one rollout can be worth
@@ -370,13 +365,6 @@ def regret_based_switch_check(eta: float, epsilon: float, c: float, L: float,
     return regret >= threshold
 
 
-def _estimate_horizon(problem: ProblemInstance, t: int,
-                      prediction: RequestSequence, fallback: int) -> int:
-    if problem.estimate_m is None:
-        return max(fallback, t)
-    return max(problem.estimate_m(t, prediction), t)
-
-
 def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
                         prediction: RequestSequence,
                         offline_oracle: OfflineOracle,
@@ -386,9 +374,11 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
                         instance_id: str = "") -> CompetitiveReport:
     """Two-state switching loop with an exact (gamma = 1) offline oracle.
 
-    Handles both objectives; the cost flavor differs only in its thresholds
-    and in the offline solver minimizing.  The conservative signal is the
-    oracle's window monitor.  In the predictive state the plan against
+    Handles both objectives, read from ``problem.objective``; the cost
+    flavor differs only in its thresholds and in the offline solver
+    minimizing, and flags ``ratio-undefined`` when the optimum is zero.
+    The conservative signal is the oracle's window monitor.  In the
+    predictive state the plan against
     (observed request, predicted suffix) is recomputed whenever the
     prediction misses; while it matches, continuing the cached plan realizes
     the same value as re-solving every period, since any suffix of an
@@ -396,13 +386,10 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     ties (the k-server flow) may pick a different, equally good plan when
     re-solved, so after a later miss the two can diverge.
     """
-    if config.oracle_kind != "exact":
-        raise ConfigurationError("run_adaswitch_exact needs oracle_kind 'exact', "
-                                 f"got {config.oracle_kind!r}")
     if offline_oracle.gamma != 1.0:
         raise ConfigurationError("run_adaswitch_exact needs an exact offline oracle")
     return _run_switching(problem, requests, prediction, offline_oracle,
-                          online_oracle, config, start_prefix, instance_id)
+                          online_oracle, config, "exact", start_prefix, instance_id)
 
 
 def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
@@ -424,28 +411,27 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
     the horizon ends first, the run falls back to lexicographically-first
     actions for the rest of the phase and flags that the fallback fired.
     """
-    if config.oracle_kind != "gamma":
-        raise ConfigurationError("run_adaswitch_gamma needs oracle_kind 'gamma', "
-                                 f"got {config.oracle_kind!r}")
     return _run_switching(problem, requests, prediction, gamma_oracle,
-                          online_oracle, config, start_prefix, instance_id)
+                          online_oracle, config, "gamma", start_prefix, instance_id)
 
 
 def _run_switching(problem: ProblemInstance, requests: RequestSequence,
                    prediction: RequestSequence, offline_oracle: OfflineOracle,
                    online_oracle: OnlineOracle, config: AdaSwitchConfig,
-                   start_prefix: Optional[Trajectory],
+                   kind: str, start_prefix: Optional[Trajectory],
                    instance_id: str) -> CompetitiveReport:
-    """The switching loop behind both entry points.  ``config.oracle_kind``
-    picks the conservative signal (window monitor, or phase value / Monte
-    Carlo estimate) and the predictive planner (replan on a miss, or batch
-    growth); everything else is shared."""
-    exact = config.oracle_kind == "exact"
+    """The switching loop behind both entry points.  The oracle ``kind``
+    (``"exact"`` or ``"gamma"``) picks the conservative signal (window
+    monitor, or phase value / Monte Carlo estimate) and the predictive
+    planner (replan on a miss, or batch growth); everything else is
+    shared."""
+    exact = kind == "exact"
+    objective = problem.objective
     eta = online_oracle.eta
     gamma = offline_oracle.gamma
-    validate_config(config, eta, gamma)
+    validate_config(config, objective, kind, eta, gamma)
     L = problem.reward_bound
-    thr = threshold_table(config, eta, gamma, L)
+    thr = threshold_table(config, objective, kind, eta, gamma, L)
     cap = config.c / config.b
     regret = config.switching_mode == REGRET_BASED
     estimate = not exact and not online_oracle.deterministic
@@ -486,12 +472,12 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
             e_pred = prediction.at(t)
             if exact:
                 if plan is None or not plan.covers(t) or e != e_pred:
-                    hp = _estimate_horizon(problem, t, prediction, horizon)
+                    hp = max(problem.estimate_m(t, prediction), t)
                     window = [e] + prediction.window(t + 1, hp)
                     plan = _Plan(t, offline_oracle.solve(sim.clone(), t, window)[1])
             elif t == tau_p:
                 # A new batch starts: grow it one predicted period at a time.
-                hp = _estimate_horizon(problem, t, prediction, horizon)
+                hp = max(problem.estimate_m(t, prediction), t)
                 plan_value = 0.0
                 tp = t
                 while tp <= hp and plan_value < thr.batch_stop:
@@ -551,7 +537,7 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
 
     report = CompetitiveReport(
         instance_id=instance_id, seed=config.seed,
-        variant=f"{config.oracle_kind}-{config.objective}",
+        variant=f"{kind}-{objective}",
         epsilon=config.epsilon, b=config.b, c=config.c, alpha=config.alpha,
         eta=eta, gamma=gamma,
         val=prefix.cumulative + total,
@@ -563,44 +549,26 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
         mc_deviation=mc_deviation, fallback_fired=fallback_fired,
         trajectory=Trajectory(tuple(log_requests), tuple(log_actions),
                               tuple(log_rewards)))
-    _attach_core_bound(report, config, problem)
-    return report
-
-
-def run_adaswitch_cost(problem: ProblemInstance, requests: RequestSequence,
-                       prediction: RequestSequence,
-                       offline_oracle: OfflineOracle,
-                       online_oracle: OnlineOracle,
-                       config: AdaSwitchConfig,
-                       start_prefix: Optional[Trajectory] = None,
-                       instance_id: str = "") -> CompetitiveReport:
-    """Cost-minimization wrapper: same machinery under the cost thresholds."""
-    if config.objective != MINIMIZE:
-        raise ConfigurationError("run_adaswitch_cost requires objective=min")
-    runner = run_adaswitch_exact if config.oracle_kind == "exact" else run_adaswitch_gamma
-    report = runner(problem, requests, prediction, offline_oracle,
-                    online_oracle, config, start_prefix=start_prefix,
-                    instance_id=instance_id)
-    if report.ratio_undefined:
+    if objective == MINIMIZE and report.ratio_undefined:
         report.flags += ("ratio-undefined",)
+    _attach_core_bound(report, objective, kind, L)
     return report
 
 
-def _attach_core_bound(report: CompetitiveReport, config: AdaSwitchConfig,
-                       problem: ProblemInstance) -> None:
+def _attach_core_bound(report: CompetitiveReport, objective: str, kind: str,
+                       L: float) -> None:
     """Fill in the meta-theorem bound matching the variant that ran."""
     if report.opt is None or report.opt <= 0:
         return
     common = dict(eta=report.eta, epsilon=report.epsilon, b=report.b,
-                  c=report.c, L=problem.reward_bound, opt=report.opt,
-                  phi_star=report.phi_star)
+                  c=report.c, L=L, opt=report.opt, phi_star=report.phi_star)
     try:
-        if config.objective == MAXIMIZE and config.oracle_kind == "exact":
+        if objective == MAXIMIZE and kind == "exact":
             report.bounds["T1"] = theoretical_bound("T1", **common)
-        elif config.objective == MAXIMIZE:
+        elif objective == MAXIMIZE:
             report.bounds["T2"] = theoretical_bound(
                 "T2", gamma=report.gamma, alpha=report.alpha, **common)
-        elif config.oracle_kind == "exact":
+        elif kind == "exact":
             report.bounds["T3"] = theoretical_bound("T3", **common)
         else:
             report.bounds["T4"] = theoretical_bound(

@@ -793,27 +793,22 @@ def prop_threshold_formulas(scale: float = 1.0, seed: int = 501) -> PropertyResu
         gamma = rng.uniform(0.3, 1.0)
         alpha = max(3.0, gamma * (eta - 15 * eps / 16) /
                     max(gamma - (eta - 15 * eps / 16), 1e-3)) + rng.uniform(0, 2)
+        config = AdaSwitchConfig(eps, b, c, alpha=alpha)
         cases = [
-            (AdaSwitchConfig(eps, b, c, objective="max", oracle_kind="exact"),
-             10 * c * L / eps, 2 * c / (eta * b)),
-            (AdaSwitchConfig(eps, b, c, alpha=alpha, objective="max",
-                             oracle_kind="gamma"),
-             16 * eta / eps * alpha * c * L,
+            ("max", "exact", 10 * c * L / eps, 2 * c / (eta * b)),
+            ("max", "gamma", 16 * eta / eps * alpha * c * L,
              gamma * alpha / ((eta - 15 * eps / 16) * (alpha + gamma)) * 5 * alpha * c / b),
-            (AdaSwitchConfig(eps, b, c, objective="min", oracle_kind="exact"),
-             10 * (eta + eps) * c * L / eps, 2 * (eta + eps) * c / b),
-            (AdaSwitchConfig(eps, b, c, alpha=alpha, objective="min",
-                             oracle_kind="gamma"),
-             18 * eta / eps * (eta + eps) * gamma * alpha * c * L,
+            ("min", "exact", 10 * (eta + eps) * c * L / eps, 2 * (eta + eps) * c / b),
+            ("min", "gamma", 18 * eta / eps * (eta + eps) * gamma * alpha * c * L,
              5 * (eta + eps) * alpha * c / b),
         ]
-        for config, s_exp, phi_exp in cases:
-            thr = threshold_table(config, eta, gamma, L)
+        for objective, kind, s_exp, phi_exp in cases:
+            thr = threshold_table(config, objective, kind, eta, gamma, L)
             if not (math.isclose(thr.conservative_exit, s_exp, rel_tol=1e-12)
                     and math.isclose(thr.predictive_exit, phi_exp, rel_tol=1e-12)):
                 return PropertyResult(
                     "adaswitch/threshold-formulas", False,
-                    f"config={config} got=({thr.conservative_exit},"
+                    f"config={config} {kind}-{objective} got=({thr.conservative_exit},"
                     f"{thr.predictive_exit}) want=({s_exp},{phi_exp})")
     return PropertyResult("adaswitch/threshold-formulas", True)
 
@@ -1142,8 +1137,7 @@ def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
             epsilon = rng.uniform(0.3, 0.9) * online.eta
         else:
             epsilon = 3 * online.eta
-        config = AdaSwitchConfig(epsilon, 1.0, 1.0, seed=seed + trial,
-                                 objective=problem.objective)
+        config = AdaSwitchConfig(epsilon, 1.0, 1.0, seed=seed + trial)
         runs = []
         for oracle in (offline, _ReplanEveryPeriod(offline)):
             report = run_adaswitch_exact(problem, reqs, pred, oracle, online, config)

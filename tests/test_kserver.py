@@ -52,14 +52,17 @@ class TestMetricSpace:
 
 class TestCost:
     def test_server_already_there(self):
-        assert ks.kserver_cost(LINE, ks.ServerConfig(("p0",)), ["p0"], [1]) == 0.0
+        assert ks.KserverSimulator(LINE, ("p0",)).step(1, "p0", 1) == 0.0
 
     def test_moving_distance(self):
-        assert ks.kserver_cost(LINE, ks.ServerConfig(("p05", "p1")),
-                               ["p1"], [1]) == 0.5
+        sim = ks.KserverSimulator(LINE, ("p05", "p1"))
+        assert sim.step(1, "p1", 1) == 0.5
+        assert sim.positions == ["p1", "p1"]
 
     def test_empty_request_free(self):
-        assert ks.kserver_cost(LINE, ks.ServerConfig(("p0",)), [BOT], [1]) == 0.0
+        sim = ks.KserverSimulator(LINE, ("p0",))
+        assert sim.step(1, BOT, 1) == 0.0
+        assert sim.positions == ["p0"]
 
 
 class TestOfflineFlow:
@@ -145,19 +148,22 @@ class TestWorkFunction:
 
 class TestMarking:
     def test_hit_marks_and_costs_nothing(self):
-        state = ks.MarkingState(cache=["a", "b"], marks=set())
-        evicted, cost = ks.marking_step(state, "a", random.Random(0))
-        assert (evicted, cost) == (None, 0.0)
-        assert 0 in state.marks
+        metric = ks.MetricSpace.uniform(["a", "b", "c"])
+        policy = ks.MarkingPolicy(["a", "b"])
+        sim = ks.KserverSimulator(metric, ["a", "b"])
+        slot = policy.act(1, "a", random.Random(0))
+        assert slot == 1
+        assert sim.step(1, "a", slot) == 0.0
+        assert policy.marks == {0} and policy.cache == ["a", "b"]
 
     def test_single_slot_alternation_always_misses(self):
-        state = ks.MarkingState(cache=["a"], marks=set())
+        metric = ks.MetricSpace.uniform(["a", "b"])
+        policy = ks.MarkingPolicy(["a"])
+        sim = ks.KserverSimulator(metric, ["a"])
         rng = random.Random(1)
         total = 0.0
-        for e in ["a", "b", "a", "b", "a"]:
-            _, cost = ks.marking_step(state, e, rng) if e not in state.cache \
-                else (None, 0.0)
-            total += cost
+        for t, e in enumerate(["a", "b", "a", "b", "a"], start=1):
+            total += sim.step(t, e, policy.act(t, e, rng))
         assert total == 4.0  # every request after the warm hit misses
 
     def test_requires_uniform_metric(self):

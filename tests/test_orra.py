@@ -16,33 +16,26 @@ from adaswitch.validation import (
 
 class TestRecursion:
     def test_reject_changes_nothing(self):
-        params = orra.OrraParams(2, 3)
-        avail = orra.AvailabilityVector.fresh(2)
-        reward, after = orra.orra_step(params, avail, 1, (1, 1), 0)
-        assert reward == 0.0
-        assert after.times == avail.times
+        sim = orra.OrraSimulator(orra.OrraParams(2, 3))
+        before = list(sim.avail.times)
+        assert sim.step(1, (1, 1), 0) == 0.0
+        assert sim.avail.times == before
 
     def test_busy_resource_rejects(self):
-        params = orra.OrraParams(1, 2)
-        avail = orra.AvailabilityVector.fresh(1)
-        r1, avail = orra.orra_step(params, avail, 1, (1,), 1)
-        r2, avail = orra.orra_step(params, avail, 2, (1,), 1)
+        sim = orra.OrraSimulator(orra.OrraParams(1, 2))
+        r1 = sim.step(1, (1,), 1)
+        r2 = sim.step(2, (1,), 1)
         assert (r1, r2) == (1.0, 0.0)
-        assert avail.times == [3]
+        assert sim.avail.times == [3]
 
     def test_comeback_at_t_plus_d(self):
-        params = orra.OrraParams(1, 2)
-        avail = orra.AvailabilityVector.fresh(1)
-        r1, avail = orra.orra_step(params, avail, 1, (1,), 1)
-        r2, avail = orra.orra_step(params, avail, 2, (1,), 0)
-        r3, avail = orra.orra_step(params, avail, 3, (1,), 1)
-        assert (r1, r2, r3) == (1.0, 0.0, 1.0)
+        sim = orra.OrraSimulator(orra.OrraParams(1, 2))
+        rewards = [sim.step(t, (1,), a) for t, a in ((1, 1), (2, 0), (3, 1))]
+        assert rewards == [1.0, 0.0, 1.0]
 
     def test_ineligible_resource_fails(self):
-        params = orra.OrraParams(2, 2)
-        avail = orra.AvailabilityVector.fresh(2)
-        reward, _ = orra.orra_step(params, avail, 1, (0, 1), 1)
-        assert reward == 0.0
+        sim = orra.OrraSimulator(orra.OrraParams(2, 2))
+        assert sim.step(1, (0, 1), 1) == 0.0
 
 
 class TestOfflineDp:
@@ -225,8 +218,7 @@ class TestAdaswitchOrra:
         problem = orra.problem_instance(params)
         reqs = [(1,)] * 40
         from adaswitch.switching import AdaSwitchConfig, run_adaswitch_gamma
-        config = AdaSwitchConfig(epsilon=0.4, b=2.0, c=2.0, alpha=4.0,
-                                 objective="max", oracle_kind="gamma", seed=0)
+        config = AdaSwitchConfig(epsilon=0.4, b=2.0, c=2.0, alpha=4.0, seed=0)
         report = run_adaswitch_gamma(problem, orra.make_requests(params, reqs),
                                      orra.make_requests(params, reqs),
                                      orra.OrraDpOracle(params), GreedyOracle(),

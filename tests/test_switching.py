@@ -11,7 +11,6 @@ from adaswitch import (
     Trajectory,
     monte_carlo_estimate,
     regret_based_switch_check,
-    run_adaswitch_cost,
     run_adaswitch_exact,
     run_adaswitch_gamma,
     theoretical_bound,
@@ -44,60 +43,39 @@ class TestConfigValidation:
 
     def test_gamma_variant_requires_alpha_feasibility(self):
         from adaswitch.switching import validate_config
-        config = AdaSwitchConfig(epsilon=0.01, b=2.0, c=2.0, alpha=3.0,
-                                 objective="max", oracle_kind="gamma")
+        config = AdaSwitchConfig(epsilon=0.01, b=2.0, c=2.0, alpha=3.0)
         # gamma small enough that gamma*alpha/(alpha+gamma) < eta - 15eps/16
         with pytest.raises(ConfigurationError, match="infeasible"):
-            validate_config(config, eta=0.9, gamma=0.5)
+            validate_config(config, "max", "gamma", eta=0.9, gamma=0.5)
 
     def test_cost_gamma_alpha_floor(self):
         from adaswitch.switching import validate_config
-        config = AdaSwitchConfig(epsilon=0.5, b=2.0, c=2.0, alpha=10.0,
-                                 objective="min", oracle_kind="gamma")
+        config = AdaSwitchConfig(epsilon=0.5, b=2.0, c=2.0, alpha=10.0)
         with pytest.raises(ConfigurationError, match="16"):
-            validate_config(config, eta=2.0, gamma=1.0)
+            validate_config(config, "min", "gamma", eta=2.0, gamma=1.0)
 
     def test_regret_mode_needs_exact_oracle(self):
         from adaswitch.switching import validate_config
         config = AdaSwitchConfig(epsilon=0.1, b=1.0, c=2.0, alpha=3.0,
-                                 switching_mode="regret-based",
-                                 objective="max", oracle_kind="gamma")
+                                 switching_mode="regret-based")
         with pytest.raises(ConfigurationError, match="regret"):
-            validate_config(config, eta=0.5, gamma=1.0)
+            validate_config(config, "max", "gamma", eta=0.5, gamma=1.0)
 
     @pytest.mark.parametrize("objective", ["max", "min"])
     @pytest.mark.parametrize("name", ["epsilon", "b", "c", "alpha"])
     def test_rejects_non_finite_fields(self, objective, name):
         from adaswitch.switching import validate_config
         for bad in (math.nan, math.inf, -math.inf):
-            fields = dict(epsilon=0.1, b=1.0, c=3.0, alpha=20.0, objective=objective,
-                          oracle_kind="gamma")
+            fields = dict(epsilon=0.1, b=1.0, c=3.0, alpha=20.0)
             fields[name] = bad
             with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
-                validate_config(AdaSwitchConfig(**fields), eta=0.5, gamma=1.0)
+                validate_config(AdaSwitchConfig(**fields), objective, "gamma",
+                                eta=0.5, gamma=1.0)
 
     def test_reward_runner_rejects_nan_epsilon(self):
         config = AdaSwitchConfig(epsilon=math.nan, b=1.0, c=3.0)
         with pytest.raises(ConfigurationError, match="^epsilon must be finite"):
             oltq_run(config)
-
-    def test_exact_runner_rejects_gamma_kind(self):
-        config = AdaSwitchConfig(epsilon=0.1, b=1.0, c=3.0, alpha=20.0,
-                                 oracle_kind="gamma")
-        with pytest.raises(ConfigurationError,
-                           match="run_adaswitch_exact needs oracle_kind 'exact', got 'gamma'"):
-            oltq_run(config)
-
-    def test_gamma_runner_rejects_exact_kind(self):
-        params = orra.OrraParams(2, 2)
-        reqs = orra.make_requests(params, [(1, 1)] * 6)
-        config = AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0, alpha=3.0,
-                                 oracle_kind="exact")
-        with pytest.raises(ConfigurationError,
-                           match="run_adaswitch_gamma needs oracle_kind 'gamma', got 'exact'"):
-            run_adaswitch_gamma(orra.problem_instance(params), reqs, reqs,
-                                orra.OrraDpOracle(params), orra.PrrStarOracle(params),
-                                config)
 
     def test_cost_wrapper_rejects_nan_epsilon(self):
         m = ks.MetricSpace.uniform(["a", "b", "c"])
@@ -124,15 +102,14 @@ class TestThresholds:
         # c = k, b = 2, eta = eps = 2(ln k + 1), L = 1
         k = 4
         eta = 2 * (math.log(k) + 1)
-        config = AdaSwitchConfig(epsilon=eta, b=2.0, c=float(k),
-                                 objective="min", oracle_kind="exact")
-        thr = threshold_table(config, eta, 1.0, 1.0)
+        config = AdaSwitchConfig(epsilon=eta, b=2.0, c=float(k))
+        thr = threshold_table(config, "min", "exact", eta, 1.0, 1.0)
         assert thr.conservative_exit == pytest.approx(10 * (eta + eta) * k / eta)
         assert thr.predictive_exit == pytest.approx(2 * (eta + eta) * k / 2)
 
     def test_all_positive(self):
         config = AdaSwitchConfig(epsilon=0.2, b=1.0, c=1.0)
-        thr = threshold_table(config, eta=0.5, gamma=1.0, L=2.0)
+        thr = threshold_table(config, "max", "exact", eta=0.5, gamma=1.0, L=2.0)
         assert thr.conservative_exit > 0 and thr.predictive_exit > 0
 
 
@@ -233,7 +210,7 @@ class TestMonteCarlo:
         problem = orra.problem_instance(params)
         oracle = orra.PrrStarOracle(params)
         config = AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0, alpha=3.0, seed=1,
-                                 monte_carlo_base_H=1, monte_carlo_cap=30)
+                                 monte_carlo_cap=30)
         est = monte_carlo_estimate(problem, Trajectory(), [(1, 1)] * 4, oracle,
                                    t=9, config=config)
         assert 0.0 <= est <= 4.0
@@ -375,26 +352,29 @@ class TestCostRunner:
         reqs = [rng.choice(metric.points) for _ in range(T)]
         return metric, initial, reqs
 
-    def test_requires_min_objective(self):
+    def test_objective_comes_from_the_problem(self):
+        # A config names no objective: a caching problem runs the cost
+        # thresholds and carries the cost bound T3, never the reward T1.
         metric, initial, reqs = self._caching_setup()
         problem = ks.problem_instance(metric, initial)
-        config = AdaSwitchConfig(epsilon=1.0, b=2.0, c=2.0, objective="max")
-        with pytest.raises(ConfigurationError, match="objective"):
-            run_adaswitch_cost(problem, ks.make_requests(reqs),
-                               ks.make_requests(reqs),
-                               ks.KserverOfflineOracle(metric),
-                               ks.MarkingOracle(metric, 2), config)
+        config = AdaSwitchConfig(epsilon=1.0, b=2.0, c=2.0)
+        report = run_adaswitch_exact(problem, ks.make_requests(reqs),
+                                     ks.make_requests(reqs),
+                                     ks.KserverOfflineOracle(metric),
+                                     ks.MarkingOracle(metric, 2), config)
+        assert report.variant == "exact-min"
+        assert "T3" in report.bounds and "T1" not in report.bounds
 
     def test_zero_optimum_flags_ratio_undefined(self):
         metric = ks.MetricSpace.uniform(["a", "b"])
         initial = ks.ServerConfig(("a", "b"))
         problem = ks.problem_instance(metric, initial)
         eta = 2 * (math.log(2) + 1)
-        config = AdaSwitchConfig(epsilon=eta, b=2.0, c=2.0, objective="min")
-        report = run_adaswitch_cost(problem, ks.make_requests(["a", "b", "a"]),
-                                    ks.make_requests(["a", "b", "a"]),
-                                    ks.KserverOfflineOracle(metric),
-                                    ks.MarkingOracle(metric, 2), config)
+        config = AdaSwitchConfig(epsilon=eta, b=2.0, c=2.0)
+        report = run_adaswitch_exact(problem, ks.make_requests(["a", "b", "a"]),
+                                     ks.make_requests(["a", "b", "a"]),
+                                     ks.KserverOfflineOracle(metric),
+                                     ks.MarkingOracle(metric, 2), config)
         assert report.val == 0.0
         assert "ratio-undefined" in report.flags
 
@@ -403,12 +383,11 @@ class TestCostRunner:
         k = initial.k
         eta = 2 * (math.log(k) + 1)
         problem = ks.problem_instance(metric, initial)
-        config = AdaSwitchConfig(epsilon=eta, b=2.0, c=float(k),
-                                 objective="min", seed=3)
-        report = run_adaswitch_cost(problem, ks.make_requests(reqs),
-                                    ks.make_requests(reqs),
-                                    ks.KserverOfflineOracle(metric),
-                                    ks.MarkingOracle(metric, k), config)
+        config = AdaSwitchConfig(epsilon=eta, b=2.0, c=float(k), seed=3)
+        report = run_adaswitch_exact(problem, ks.make_requests(reqs),
+                                     ks.make_requests(reqs),
+                                     ks.KserverOfflineOracle(metric),
+                                     ks.MarkingOracle(metric, k), config)
         assert report.phi_star == 0.0
         slack = 14 * eta * (eta + config.epsilon) * config.c * 1.0 / config.epsilon
         assert report.val <= report.opt + slack + 1e-9
@@ -425,12 +404,11 @@ class TestCostRunner:
             rng = random.Random(4000 + seed)
             reqs = [rng.choice(metric.points) for _ in range(12)]
             pred = [rng.choice(metric.points) for _ in range(12)]
-            config = AdaSwitchConfig(epsilon=eps, b=2.0, c=float(k),
-                                     objective="min", seed=seed)
-            report = run_adaswitch_cost(problem, ks.make_requests(reqs),
-                                        ks.make_requests(pred),
-                                        ks.KserverOfflineOracle(metric),
-                                        ks.MarkingOracle(metric, k), config)
+            config = AdaSwitchConfig(epsilon=eps, b=2.0, c=float(k), seed=seed)
+            report = run_adaswitch_exact(problem, ks.make_requests(reqs),
+                                         ks.make_requests(pred),
+                                         ks.KserverOfflineOracle(metric),
+                                         ks.MarkingOracle(metric, k), config)
             if not report.ratio_undefined:
                 ratios.append(report.ratio)
         assert sum(ratios) / len(ratios) <= eta + eps + 0.02
@@ -443,12 +421,11 @@ class TestCostRunner:
         k = initial.k
         eta = 2 * (math.log(k) + 1)
         problem = ks.problem_instance(metric, initial)
-        config = AdaSwitchConfig(epsilon=1.0, b=2.0, c=float(k), alpha=16.0,
-                                 objective="min", oracle_kind="gamma", seed=2,
+        config = AdaSwitchConfig(epsilon=1.0, b=2.0, c=float(k), alpha=16.0, seed=2,
                                  monte_carlo_cap=40)
-        report = run_adaswitch_cost(problem, ks.make_requests(reqs),
-                                    ks.make_requests(reqs),
-                                    ks.KserverOfflineOracle(metric),
-                                    ks.MarkingOracle(metric, k), config)
+        report = run_adaswitch_gamma(problem, ks.make_requests(reqs),
+                                     ks.make_requests(reqs),
+                                     ks.KserverOfflineOracle(metric),
+                                     ks.MarkingOracle(metric, k), config)
         assert report.variant == "gamma-min"
         assert report.val >= report.opt  # a cost run can never beat optimum
