@@ -19,7 +19,6 @@ from .framework import (
     brute_force_opt,
     check_bounded_influence,
     check_lipschitz,
-    effective_length_estimate,
     evaluate_trajectory,
     sequence_distance,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "brute_force_opt",
     "check_bounded_influence",
     "check_lipschitz",
-    "effective_length_estimate",
     "evaluate_trajectory",
     "monte_carlo_estimate",
     "regret_based_switch_check",

@@ -316,13 +316,6 @@ def sequence_distance(problem: ProblemInstance, a: RequestSequence,
     return DistanceProfile(raw_total=raw, capped_total=capped)
 
 
-def effective_length_estimate(problem: ProblemInstance, observed_prefix: Sequence[Any],
-                              prediction: RequestSequence) -> int:
-    """Upper bound on the effective length of observed-so-far followed by the
-    prediction's suffix, per the application's declared rule."""
-    return problem.estimate_m(len(observed_prefix), prediction)
-
-
 def check_bounded_influence(problem: ProblemInstance,
                             sampler: Callable[[random.Random], tuple],
                             trials: int, seed: int = 0,

@@ -356,8 +356,7 @@ def alpha_of_gamma(ell: int, gamma: float) -> float:
 
 
 def adaswitch_oltq(ell: int, requests, prediction, epsilon: float,
-                   seed: int = 0, switching_mode: str = "error-based",
-                   instance_id: str = "") -> CompetitiveReport:
+                   seed: int = 0, switching_mode: str = "error-based") -> CompetitiveReport:
     """Switching run instantiated for lead-time quotation: thresholds use
     c = ell + 1 and b = 1, the greedy sweep as the exact offline oracle and
     the fractional-threshold policy as the online oracle."""
@@ -367,8 +366,7 @@ def adaswitch_oltq(ell: int, requests, prediction, epsilon: float,
     config = AdaSwitchConfig(epsilon=epsilon, b=1.0, c=float(ell + 1),
                              seed=seed, switching_mode=switching_mode)
     report = run_adaswitch_exact(problem, requests, prediction, OhrrOracle(),
-                                 QFracStarOracle(ell), config,
-                                 instance_id=instance_id)
+                                 QFracStarOracle(ell), config)
     report.variant = "adaswitch-oltq"
     if report.opt and report.opt > 0:
         report.bounds["T5"] = theoretical_bound(
@@ -377,8 +375,7 @@ def adaswitch_oltq(ell: int, requests, prediction, epsilon: float,
     return report
 
 
-def run_qfrac_baseline(ell: int, requests, seed: int = 0,
-                       instance_id: str = "") -> CompetitiveReport:
+def run_qfrac_baseline(ell: int, requests, seed: int = 0) -> CompetitiveReport:
     """Pure online run of the fractional-threshold policy (no predictions)."""
     problem = problem_instance(ell)
     requests = make_requests(ell, requests)
@@ -399,7 +396,7 @@ def run_qfrac_baseline(ell: int, requests, seed: int = 0,
     opt, _ = ohrr_star(OltqSimulator(ell), 1,
                        requests.window(1, requests.effective_length))
     return CompetitiveReport(
-        instance_id=instance_id, seed=seed, variant="qfrac-star",
+        seed=seed, variant="qfrac-star",
         epsilon=0.0, b=1.0, c=float(ell + 1), alpha=None,
         eta=oracle.eta, gamma=1.0, val=total, opt=opt,
         phi_star=0.0, switch_count=0, epochs=((1, "conservative"),) if requests.effective_length else (),
@@ -407,8 +404,7 @@ def run_qfrac_baseline(ell: int, requests, seed: int = 0,
 
 
 def strengthened_adaswitch_oltq(ell: int, requests, prediction, gamma: float,
-                                Z: float = 24.0, seed: int = 0,
-                                instance_id: str = "") -> CompetitiveReport:
+                                Z: float = 24.0, seed: int = 0) -> CompetitiveReport:
     """Keep the robustness target ``gamma`` but only gamble on switching when
     the prediction promises enough value.
 
@@ -434,11 +430,11 @@ def strengthened_adaswitch_oltq(ell: int, requests, prediction, gamma: float,
         threshold = Z * ell * ell / ((eta - gamma) * (1.0 - a_gamma))
     if opt_pred >= threshold:
         report = adaswitch_oltq(ell, requests, prediction, epsilon=eta - gamma,
-                                seed=seed, instance_id=instance_id)
+                                seed=seed)
         report.variant = "strengthened-adaswitch-oltq"
         report.flags += ("branch-adaswitch",)
     else:
-        report = run_qfrac_baseline(ell, requests, seed=seed, instance_id=instance_id)
+        report = run_qfrac_baseline(ell, requests, seed=seed)
         report.variant = "strengthened-adaswitch-oltq"
         report.flags += ("branch-fallback",)
         problem = problem_instance(ell)
@@ -460,5 +456,12 @@ def read_instance(path: str) -> tuple[int, RequestSequence]:
         if len(header) != 2:
             raise ValueError(f"{path}: expected header 'ell T'")
         ell, T = int(header[0]), int(header[1])
-        arrivals = [int(fh.readline()) for _ in range(T)]
+        arrivals = []
+        for lineno in range(2, T + 2):
+            line = fh.readline()
+            try:
+                arrivals.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected an arrival count, "
+                                 f"got {line.strip()!r}") from None
     return ell, make_requests(ell, arrivals)

@@ -242,8 +242,7 @@ class PrrStarOracle(OnlineOracle):
 def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
                    alpha: float = 3.0, seed: int = 0,
                    eta_online: float = 0.589,
-                   monte_carlo_cap: int = 10_000,
-                   instance_id: str = "") -> CompetitiveReport:
+                   monte_carlo_cap: int = 10_000) -> CompetitiveReport:
     """Batched switching run with thresholds c = d and b = 2, the re-ranking
     policy online and the exact DP offline.  An approximate offline oracle
     goes straight to :func:`run_adaswitch_gamma`."""
@@ -254,7 +253,7 @@ def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
     config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(params.d),
                              alpha=alpha, seed=seed, monte_carlo_cap=monte_carlo_cap)
     report = run_adaswitch_gamma(problem, requests, prediction, OrraDpOracle(params),
-                                 online, config, instance_id=instance_id)
+                                 online, config)
     report.variant = "adaswitch-orra"
     return report
 

@@ -88,6 +88,12 @@ class Thresholds:
     needs_opt_estimate: bool = False
 
 
+# The meta-theorem behind each (objective, oracle kind) variant: it fixes
+# the variant's thresholds, its preconditions and its bound.
+THEOREMS = {(MAXIMIZE, "exact"): "T1", (MAXIMIZE, "gamma"): "T2",
+            (MINIMIZE, "exact"): "T3", (MINIMIZE, "gamma"): "T4"}
+
+
 def threshold_table(config: AdaSwitchConfig, objective: str, kind: str,
                     eta: float, gamma: float, L: float) -> Thresholds:
     """Switching thresholds per (objective, oracle kind).
@@ -101,15 +107,16 @@ def threshold_table(config: AdaSwitchConfig, objective: str, kind: str,
     additionally requires the approximate window optimum ``u >= gamma``.
     """
     e, b, c, a = config.epsilon, config.b, config.c, config.alpha
-    if objective == MAXIMIZE and kind == "exact":
+    theorem = THEOREMS[objective, kind]
+    if theorem == "T1":
         thr = Thresholds(10 * c * L / e, 2 * c / (eta * b))
-    elif objective == MAXIMIZE:
+    elif theorem == "T2":
         slack = eta - 15 * e / 16
         thr = Thresholds(
             (16 * eta / e) * a * c * L,
             gamma * a / (slack * (a + gamma)) * (5 * a * c / b),
             batch_stop=a * c * L)
-    elif kind == "exact":
+    elif theorem == "T3":
         thr = Thresholds(10 * (eta + e) * c * L / e, 2 * (eta + e) * c / b)
     else:
         thr = Thresholds(
@@ -137,31 +144,39 @@ def validate_config(config: AdaSwitchConfig, objective: str, kind: str,
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
-    if not (config.c >= config.b >= 1):
-        raise ConfigurationError(f"need c >= b >= 1, got c={config.c}, b={config.b}")
-    if config.epsilon <= 0:
+    _check_preconditions(THEOREMS[objective, kind], eta, config.epsilon,
+                         config.b, config.c, gamma, config.alpha)
+
+
+def _check_preconditions(theorem: str, eta: float, epsilon: float, b: float,
+                         c: float, gamma: float, alpha: Optional[float]) -> None:
+    """Raise ConfigurationError naming the first violated precondition of
+    meta-theorem ``theorem`` (T1-T4) on the parameters, the optimum aside."""
+    if not (c >= b >= 1):
+        raise ConfigurationError(f"need c >= b >= 1, got c={c}, b={b}")
+    if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    if objective == MAXIMIZE and config.epsilon >= eta:
+    if theorem in ("T1", "T2") and epsilon >= eta:
         raise ConfigurationError(
-            f"epsilon must lie in (0, eta), got epsilon={config.epsilon}, eta={eta}")
-    if kind == "gamma":
-        a = config.alpha
-        if a is None:
-            raise ConfigurationError("gamma variants need the batch parameter alpha")
-        if objective == MAXIMIZE:
-            if a < 3:
-                raise ConfigurationError(f"need alpha >= 3, got {a}")
-            if gamma * a / (a + gamma) < eta - 15 * config.epsilon / 16 - 1e-12:
-                raise ConfigurationError(
-                    f"infeasible batch parameter: gamma*alpha/(alpha+gamma)="
-                    f"{gamma * a / (a + gamma):.6g} < eta - 15*epsilon/16 = "
-                    f"{eta - 15 * config.epsilon / 16:.6g}")
-        else:
-            floor = max(16 * gamma, gamma + 2 * gamma * gamma / config.epsilon)
-            if a < floor - 1e-12:
-                raise ConfigurationError(
-                    f"need alpha >= max(16*gamma, gamma + 2*gamma^2/epsilon) = {floor:.6g}, "
-                    f"got {a}")
+            f"epsilon must lie in (0, eta), got epsilon={epsilon}, eta={eta}")
+    if theorem in ("T1", "T3"):
+        return
+    if alpha is None:
+        raise ConfigurationError("gamma variants need the batch parameter alpha")
+    if theorem == "T2":
+        if alpha < 3:
+            raise ConfigurationError(f"need alpha >= 3, got {alpha}")
+        if gamma * alpha / (alpha + gamma) < eta - 15 * epsilon / 16 - 1e-12:
+            raise ConfigurationError(
+                f"infeasible batch parameter: gamma*alpha/(alpha+gamma)="
+                f"{gamma * alpha / (alpha + gamma):.6g} < eta - 15*epsilon/16 = "
+                f"{eta - 15 * epsilon / 16:.6g}")
+    else:
+        floor = max(16 * gamma, gamma + 2 * gamma * gamma / epsilon)
+        if alpha < floor - 1e-12:
+            raise ConfigurationError(
+                f"need alpha >= max(16*gamma, gamma + 2*gamma^2/epsilon) = {floor:.6g}, "
+                f"got {alpha}")
 
 
 class WindowMonitor:
@@ -234,9 +249,12 @@ class OnlineOracle:
 
 @dataclass
 class CompetitiveReport:
-    """Outcome of one switching run plus everything needed to audit it."""
+    """Outcome of one switching run plus everything needed to audit it.
 
-    instance_id: str
+    A report whose optimum ``opt`` is None or 0 has no ratio; it carries the
+    ``ratio-undefined`` flag from construction on, whatever the objective.
+    """
+
     seed: int
     variant: str
     epsilon: float
@@ -256,11 +274,13 @@ class CompetitiveReport:
     fallback_fired: bool = False
     trajectory: Optional[Trajectory] = None
 
+    def __post_init__(self):
+        if self.ratio_undefined:
+            self.flags += ("ratio-undefined",)
+
     @property
     def ratio(self) -> Optional[float]:
-        if self.opt is None or self.opt == 0:
-            return None
-        return self.val / self.opt
+        return None if self.ratio_undefined else self.val / self.opt
 
     @property
     def ratio_undefined(self) -> bool:
@@ -370,13 +390,12 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
                         offline_oracle: OfflineOracle,
                         online_oracle: OnlineOracle,
                         config: AdaSwitchConfig,
-                        start_prefix: Optional[Trajectory] = None,
-                        instance_id: str = "") -> CompetitiveReport:
+                        start_prefix: Optional[Trajectory] = None) -> CompetitiveReport:
     """Two-state switching loop with an exact (gamma = 1) offline oracle.
 
     Handles both objectives, read from ``problem.objective``; the cost
     flavor differs only in its thresholds and in the offline solver
-    minimizing, and flags ``ratio-undefined`` when the optimum is zero.
+    minimizing.
     The conservative signal is the oracle's window monitor.  In the
     predictive state the plan against
     (observed request, predicted suffix) is recomputed whenever the
@@ -389,7 +408,7 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     if offline_oracle.gamma != 1.0:
         raise ConfigurationError("run_adaswitch_exact needs an exact offline oracle")
     return _run_switching(problem, requests, prediction, offline_oracle,
-                          online_oracle, config, "exact", start_prefix, instance_id)
+                          online_oracle, config, "exact", start_prefix)
 
 
 def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
@@ -397,8 +416,7 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
                         gamma_oracle: OfflineOracle,
                         online_oracle: OnlineOracle,
                         config: AdaSwitchConfig,
-                        start_prefix: Optional[Trajectory] = None,
-                        instance_id: str = "") -> CompetitiveReport:
+                        start_prefix: Optional[Trajectory] = None) -> CompetitiveReport:
     """Batched switching loop for approximate offline oracles.
 
     The conservative signal is a Monte Carlo estimate of the online
@@ -412,19 +430,19 @@ def run_adaswitch_gamma(problem: ProblemInstance, requests: RequestSequence,
     actions for the rest of the phase and flags that the fallback fired.
     """
     return _run_switching(problem, requests, prediction, gamma_oracle,
-                          online_oracle, config, "gamma", start_prefix, instance_id)
+                          online_oracle, config, "gamma", start_prefix)
 
 
 def _run_switching(problem: ProblemInstance, requests: RequestSequence,
                    prediction: RequestSequence, offline_oracle: OfflineOracle,
                    online_oracle: OnlineOracle, config: AdaSwitchConfig,
-                   kind: str, start_prefix: Optional[Trajectory],
-                   instance_id: str) -> CompetitiveReport:
+                   kind: str, start_prefix: Optional[Trajectory]) -> CompetitiveReport:
     """The switching loop behind both entry points.  The oracle ``kind``
     (``"exact"`` or ``"gamma"``) picks the conservative signal (window
     monitor, or phase value / Monte Carlo estimate) and the predictive
     planner (replan on a miss, or batch growth); everything else is
-    shared."""
+    shared.  A ``start_prefix`` that covers the whole horizon leaves no
+    period to run; the report then covers the prefix alone."""
     exact = kind == "exact"
     objective = problem.objective
     eta = online_oracle.eta
@@ -536,7 +554,7 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
                 tau = t + 1
 
     report = CompetitiveReport(
-        instance_id=instance_id, seed=config.seed,
+        seed=config.seed,
         variant=f"{kind}-{objective}",
         epsilon=config.epsilon, b=config.b, c=config.c, alpha=config.alpha,
         eta=eta, gamma=gamma,
@@ -549,32 +567,20 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
         mc_deviation=mc_deviation, fallback_fired=fallback_fired,
         trajectory=Trajectory(tuple(log_requests), tuple(log_actions),
                               tuple(log_rewards)))
-    if objective == MINIMIZE and report.ratio_undefined:
-        report.flags += ("ratio-undefined",)
-    _attach_core_bound(report, objective, kind, L)
+    _attach_core_bound(report, THEOREMS[objective, kind], L)
     return report
 
 
-def _attach_core_bound(report: CompetitiveReport, objective: str, kind: str,
-                       L: float) -> None:
-    """Fill in the meta-theorem bound matching the variant that ran."""
+def _attach_core_bound(report: CompetitiveReport, theorem: str, L: float) -> None:
+    """Fill in the bound of the meta-theorem behind the variant that ran.
+    The config passed ``validate_config``, so with ``opt > 0`` every
+    precondition of the theorem holds."""
     if report.opt is None or report.opt <= 0:
         return
-    common = dict(eta=report.eta, epsilon=report.epsilon, b=report.b,
-                  c=report.c, L=L, opt=report.opt, phi_star=report.phi_star)
-    try:
-        if objective == MAXIMIZE and kind == "exact":
-            report.bounds["T1"] = theoretical_bound("T1", **common)
-        elif objective == MAXIMIZE:
-            report.bounds["T2"] = theoretical_bound(
-                "T2", gamma=report.gamma, alpha=report.alpha, **common)
-        elif kind == "exact":
-            report.bounds["T3"] = theoretical_bound("T3", **common)
-        else:
-            report.bounds["T4"] = theoretical_bound(
-                "T4", gamma=report.gamma, alpha=report.alpha, **common)
-    except ConfigurationError:
-        pass  # bound preconditions not met for this run; leave it out
+    report.bounds[theorem] = theoretical_bound(
+        theorem, eta=report.eta, epsilon=report.epsilon, b=report.b, c=report.c,
+        gamma=report.gamma, alpha=report.alpha, L=L, opt=report.opt,
+        phi_star=report.phi_star)
 
 
 def _require(kw: dict, names: Sequence[str], theorem: str) -> list[float]:
@@ -596,43 +602,31 @@ def theoretical_bound(theorem: str, **kw: float) -> float:
     instantiation.  Inputs outside a theorem's preconditions raise
     ConfigurationError naming the failed condition.
     """
-    if theorem in ("T1", "T1pre"):
+    if theorem in ("T1", "T1pre", "T2", "T2pre", "T3", "T4"):
+        base = theorem[:2]
         eta, eps, b, c, L, opt, phi = _require(
             kw, ["eta", "epsilon", "b", "c", "L", "opt", "phi_star"], theorem)
-        _check_reward_common(eta, eps, b, c, opt)
+        gamma, alpha = (_require(kw, ["gamma", "alpha"], theorem)
+                        if base in ("T2", "T4") else (1.0, None))
+        _check_preconditions(base, eta, eps, b, c, gamma, alpha)
+        if opt <= 0:
+            raise ConfigurationError(f"{theorem} requires opt > 0")
         if theorem == "T1":
             return max(eta - eps, 1 - L * (12 * c + 8 * b * eta * phi) / (eps * opt))
-        return max(eta - eps, 1 - L * (14 * c + 9 * b * eta * phi) / (eps * opt))
-    if theorem in ("T2", "T2pre"):
-        eta, eps, gamma, alpha, b, c, L, opt, phi = _require(
-            kw, ["eta", "epsilon", "gamma", "alpha", "b", "c", "L", "opt", "phi_star"],
-            theorem)
-        _check_reward_common(eta, eps, b, c, opt)
-        if alpha < 3:
-            raise ConfigurationError("T2 requires alpha >= 3")
-        if gamma * alpha / (alpha + gamma) < eta - 15 * eps / 16 - 1e-12:
-            raise ConfigurationError("T2 requires gamma*alpha/(alpha+gamma) >= eta - 15*epsilon/16")
+        if theorem == "T1pre":
+            return max(eta - eps, 1 - L * (14 * c + 9 * b * eta * phi) / (eps * opt))
         if theorem == "T2":
             return max(eta - eps,
                        gamma - gamma ** 2 / alpha
                        - L * (18 * alpha * c + 7 * b * eta * phi / gamma) / (eps * opt))
-        return max(eta - eps,
-                   gamma - gamma ** 2 / alpha
-                   - L * (21 * alpha * c + 8 * b * eta * phi / gamma) / (eps * opt))
-    if theorem == "T3":
-        eta, eps, b, c, L, opt, phi = _require(
-            kw, ["eta", "epsilon", "b", "c", "L", "opt", "phi_star"], theorem)
-        _check_cost_common(eps, b, c, opt)
-        return min(eta + eps,
-                   1 + L * (14 * eta * (eta + eps) * c + (7 * eta + 2 * eps) * b * phi)
-                   / (eps * opt))
-    if theorem == "T4":
-        eta, eps, gamma, alpha, b, c, L, opt, phi = _require(
-            kw, ["eta", "epsilon", "gamma", "alpha", "b", "c", "L", "opt", "phi_star"],
-            theorem)
-        _check_cost_common(eps, b, c, opt)
-        if alpha < max(16 * gamma, gamma + 2 * gamma ** 2 / eps) - 1e-12:
-            raise ConfigurationError("T4 requires alpha >= max(16*gamma, gamma + 2*gamma^2/epsilon)")
+        if theorem == "T2pre":
+            return max(eta - eps,
+                       gamma - gamma ** 2 / alpha
+                       - L * (21 * alpha * c + 8 * b * eta * phi / gamma) / (eps * opt))
+        if theorem == "T3":
+            return min(eta + eps,
+                       1 + L * (14 * eta * (eta + eps) * c + (7 * eta + 2 * eps) * b * phi)
+                       / (eps * opt))
         return min(eta + eps,
                    gamma + gamma ** 2 / (alpha - gamma)
                    + L * (19 * gamma * alpha * eta * (eta + eps) * c
@@ -666,21 +660,3 @@ def theoretical_bound(theorem: str, **kw: float) -> float:
         return 1 + min(4 * (math.log(k) + 1),
                        (56 * k * (math.log(k) + 1) + 18 * phi) / opt)
     raise ConfigurationError(f"unknown theorem {theorem!r}")
-
-
-def _check_reward_common(eta, eps, b, c, opt):
-    if not 0 < eps < eta:
-        raise ConfigurationError("reward bounds require epsilon in (0, eta)")
-    if not c >= b >= 1:
-        raise ConfigurationError("reward bounds require c >= b >= 1")
-    if opt <= 0:
-        raise ConfigurationError("bounds require opt > 0")
-
-
-def _check_cost_common(eps, b, c, opt):
-    if eps <= 0:
-        raise ConfigurationError("cost bounds require epsilon > 0")
-    if not c >= b >= 1:
-        raise ConfigurationError("cost bounds require c >= b >= 1")
-    if opt <= 0:
-        raise ConfigurationError("bounds require opt > 0")

@@ -314,7 +314,7 @@ def test_criterion_4_theorem_bounds(oltq_adaswitch_runs):
         for name in ("T1", "T5"):
             if name in report.bounds:
                 assert report.ratio >= report.bounds[name] - 1e-9, \
-                    (report.instance_id, report.seed, name,
+                    (report.seed, name,
                      report.ratio, report.bounds[name])
                 checked += 1
 

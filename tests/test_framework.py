@@ -10,7 +10,6 @@ from adaswitch import (
     brute_force_opt,
     check_bounded_influence,
     check_lipschitz,
-    effective_length_estimate,
     evaluate_trajectory,
     sequence_distance,
 )
@@ -79,6 +78,24 @@ class TestEvaluateTrajectory:
         # Window periods 2..3; the slot-2 claim from period 1 pays 1 there.
         val = evaluate_trajectory(problem, [0, 0], [(), ()], from_prefix=prefix)
         assert val == 1.0
+
+
+class TestSimulatorStep:
+    @pytest.mark.parametrize("problem, request_, action", [
+        (oltq.problem_instance(2), 0, None),
+        (oltq.problem_instance(2), 1, (5,)),
+        (ks.problem_instance(ks.MetricSpace.uniform(["a", "b"]),
+                             ks.ServerConfig(("a",))), None, 7),
+        (ks.problem_instance(ks.MetricSpace.uniform(["a", "b"]),
+                             ks.ServerConfig(("a",))), "b", 7),
+        (orra.problem_instance(orra.OrraParams(1, 2)), (0,), 5),
+        (orra.problem_instance(orra.OrraParams(1, 2)), (1,), 5),
+    ], ids=["oltq-empty", "oltq", "kserver-empty", "kserver", "orra-empty", "orra"])
+    def test_step_rejects_what_check_action_rejects(self, problem, request_, action):
+        with pytest.raises(InvalidActionError, match="period 1"):
+            problem.check_action(1, request_, action)
+        with pytest.raises(InvalidActionError, match="period 1"):
+            problem.new_simulator().step(1, request_, action)
 
 
 class TestBruteForce:
@@ -241,19 +258,19 @@ class TestEffectiveLengthEstimate:
     def test_oltq_rule(self):
         problem = oltq.problem_instance(3)
         prediction = oltq.make_requests(3, [0, 2])
-        assert effective_length_estimate(problem, [], prediction) == 4
+        assert problem.estimate_m(0, prediction) == 4
 
     def test_kserver_all_null_prediction(self):
         metric = ks.MetricSpace.uniform(["a", "b"])
         problem = ks.problem_instance(metric, ks.ServerConfig(("a",)))
         prediction = ks.make_requests([])
-        assert effective_length_estimate(problem, ["a"] * 5, prediction) == 5
+        assert problem.estimate_m(5, prediction) == 5
 
     def test_orra_max_rule(self):
         params = orra.OrraParams(1, 2)
         problem = orra.problem_instance(params)
         prediction = orra.make_requests(params, [(0,)] * 6 + [(1,)])
-        assert effective_length_estimate(problem, [(1,)] * 3, prediction) == 7
+        assert problem.estimate_m(3, prediction) == 7
 
 
 class TestInvariantSuite:

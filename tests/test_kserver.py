@@ -202,6 +202,15 @@ class TestAdaswitchKse:
         assert report.ratio_undefined
         assert "initial-phase-only" in report.flags
 
+    def test_initial_phase_only_goes_through_the_runner(self):
+        m = ks.MetricSpace.uniform(["a", "b"])
+        report = ks.adaswitch_kse(m, ks.ServerConfig(("a", "b")),
+                                  ["a", "b", "a"], ["a", "b", "b"],
+                                  variant="caching")
+        assert report.flags == ("ratio-undefined", "initial-phase-only")
+        assert report.phi_star == 1.0  # one miss, capped at c/b = k/2 = 1
+        assert report.trajectory.actions == (1, 2, 1)
+
     def test_caching_perfect_prediction_bound(self):
         rng = random.Random(21)
         m = ks.MetricSpace.uniform(["a", "b", "c", "d", "e"])
@@ -262,6 +271,12 @@ class TestFiles:
         ks.write_metric(str(path), LINE, k=1)
         m2, k = ks.read_metric(str(path))
         assert m2.dist == LINE.dist
+
+    def test_metric_short_row_names_path_and_line(self, tmp_path):
+        path = tmp_path / "metric.txt"
+        path.write_text("3 1\na\nb\nc\n0 1 1\n1 0\n1 1 0\n")
+        with pytest.raises(ValueError, match=r"metric\.txt: line 6: expected 3 distances"):
+            ks.read_metric(str(path))
 
     def test_requests_round_trip(self, tmp_path):
         path = tmp_path / "reqs.txt"

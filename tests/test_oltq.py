@@ -173,6 +173,14 @@ class TestAdaswitchOltq:
         assert report.switch_count == 0
         assert report.ratio_undefined
 
+    def test_zero_optimum_flags_ratio_undefined(self):
+        # The flag follows the optimum, whatever the objective or runner.
+        for report in (oltq.adaswitch_oltq(3, [0, 0, 0], [0, 0], 0.2),
+                       oltq.run_qfrac_baseline(3, [0, 0, 0])):
+            assert report.ratio is None
+            assert report.bounds == {}
+            assert report.flags == ("ratio-undefined",)
+
     def test_perfect_prediction_additive_loss(self):
         rng = random.Random(5)
         ell = 3
@@ -251,4 +259,10 @@ class TestInstanceFiles:
         path = tmp_path / "bad.txt"
         path.write_text("3\n1\n")
         with pytest.raises(ValueError):
+            oltq.read_instance(str(path))
+
+    def test_truncated_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("3 4\n1\n2\n")
+        with pytest.raises(ValueError, match=r"short\.txt: line 4: expected an arrival count"):
             oltq.read_instance(str(path))
