@@ -177,14 +177,18 @@ class ProblemInstance:
 
     ``simulator_factory()`` returns the application's simulator at the
     start state; every value its ``step`` returns lies inside
-    ``[0, reward_bound]``.  ``objective`` says whether those values are
-    rewards to maximize or costs to minimize.  ``action_space(t, e)``
-    enumerates period ``t``'s candidate actions for request ``e`` in the
-    application's documented tie-break order.  ``distance_fn`` is symmetric
+    ``[0, reward_bound]``.  ``step`` raises InvalidActionError for an
+    action outside the period's action set before it changes any state;
+    that is the only check the runner and ``evaluate_trajectory`` make.
+    ``objective`` says whether those values are rewards to maximize or
+    costs to minimize.  ``action_space(t, e)`` enumerates period ``t``'s
+    candidate actions for request ``e`` in the application's documented
+    tie-break order.  ``distance_fn`` is symmetric
     and zero on identical requests.  ``estimate_m(i, prediction)`` bounds
     the effective length of ``i`` observed periods followed by the
-    prediction's suffix.  ``validate_action(t, e, a)``, when given, raises
-    InvalidActionError for an action outside the period's action set.
+    prediction's suffix.  ``validate_action(t, e, a)``, when given, applies
+    the same check as ``step`` with the same message; ``check_action`` runs
+    it for callers that validate an action without stepping.
     """
 
     name: str
@@ -244,7 +248,6 @@ def evaluate_trajectory(problem: ProblemInstance, requests: Any,
     total = 0.0
     for i, (e, a) in enumerate(zip(window, actions)):
         t = m + i + 1
-        problem.check_action(t, e, a)
         total += sim.step(t, e, a)
     return total
 

@@ -630,7 +630,6 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
     report = switching.run_adaswitch_exact(problem, requests, prediction,
                                            KserverOfflineOracle(metric), online,
                                            config, start_prefix=traj)
-    report.variant = f"adaswitch-{'ca' if variant == 'caching' else 'kse'}"
     if traj.m == horizon:
         report.flags += ("initial-phase-only",)
     if report.opt and report.opt > 0:
@@ -674,7 +673,12 @@ def write_metric(path: str, metric: MetricSpace, k: int) -> None:
 
 def read_metric(path: str) -> tuple[MetricSpace, int]:
     with open(path, encoding="ascii") as fh:
-        n, k = (int(x) for x in fh.readline().split())
+        header = fh.readline().strip()
+        try:
+            n, k = (int(x) for x in header.split())
+        except ValueError:
+            raise ValueError(f"{path}: line 1: expected header 'n k', "
+                             f"got {header!r}") from None
         points = [fh.readline().strip() for _ in range(n)]
         pos = fh.tell()
         first = fh.readline().strip()
@@ -683,11 +687,15 @@ def read_metric(path: str) -> tuple[MetricSpace, int]:
         fh.seek(pos)
         dist = []
         for lineno in range(n + 2, 2 * n + 2):
-            row = fh.readline().split()
-            if len(row) != n:
+            line = fh.readline().strip()
+            try:
+                row = [float(x) for x in line.split()]
+            except ValueError:
+                row = None
+            if row is None or len(row) != n:
                 raise ValueError(f"{path}: line {lineno}: expected {n} distances, "
-                                 f"got {len(row)}")
-            dist.append([float(x) for x in row])
+                                 f"got {line!r}")
+            dist.append(row)
     return MetricSpace(points, dist), k
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -44,17 +43,6 @@ from .switching import (
 )
 
 DECLINE = math.inf  # quoted lead time of at least ell; the order abandons
-
-
-@dataclass(frozen=True)
-class OltqParams:
-    """Patience limit; the per-unit revenue rate is fixed at 1."""
-
-    ell: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("patience limit ell must be >= 1")
 
 
 def _gamma_star_floor_ceil(ell: int) -> tuple[int, int]:
@@ -102,45 +90,30 @@ def make_requests(ell: int, arrivals) -> RequestSequence:
     return RequestSequence(arrivals, null_request=0, effective_length=effective)
 
 
-class ScheduleState:
-    """Slot commitments: slot -> (arrival period, revenue earned there).
-
-    At most one order is assigned per slot and assignments never precede
-    their arrival; both are enforced at claim time.
+class OltqSimulator(Simulator):
+    """Slot commitments: ``claims`` maps each claimed slot to the revenue
+    its first claimant earns there.  ``step`` checks the whole action
+    before claiming anything, so no slot precedes its arrival or lies past
+    the patience window, and a slot claimed twice keeps its first claimant.
     """
 
-    __slots__ = ("claims",)
-
-    def __init__(self, claims: Optional[dict] = None):
-        self.claims = dict(claims) if claims else {}
-
-    def claim(self, slot: int, arrival: int, ell: int) -> None:
-        if slot not in self.claims:
-            self.claims[slot] = (arrival, max(0, arrival + ell - slot))
-
-    def revenue_at(self, t: int) -> float:
-        entry = self.claims.get(t)
-        return float(entry[1]) if entry is not None else 0.0
-
-    def clone(self) -> "ScheduleState":
-        return ScheduleState(self.claims)
-
-
-class OltqSimulator(Simulator):
-    def __init__(self, ell: int, state: Optional[ScheduleState] = None):
+    def __init__(self, ell: int, claims: Optional[dict[int, int]] = None):
         self.ell = ell
-        self.state = state if state is not None else ScheduleState()
+        self.claims = dict(claims) if claims else {}
 
     def step(self, t: int, request: int, action: Any) -> float:
         _validate_oltq_action(self.ell, t, request, action)
+        claims = self.claims
         for i in range(min(len(action), request)):
             slot = action[i]
             if slot is not DECLINE and not math.isinf(slot):
-                self.state.claim(int(slot), t, self.ell)
-        return self.state.revenue_at(t)
+                slot = int(slot)
+                if slot not in claims:
+                    claims[slot] = t + self.ell - slot
+        return float(claims.get(t, 0))
 
     def clone(self) -> "OltqSimulator":
-        return OltqSimulator(self.ell, self.state.clone())
+        return OltqSimulator(self.ell, self.claims)
 
 
 def _validate_oltq_action(ell: int, t: int, request: int, action: Any) -> None:
@@ -187,7 +160,9 @@ def _oltq_action_space(ell: int, t: int, e: int) -> list[tuple]:
 
 
 def problem_instance(ell: int) -> ProblemInstance:
-    ell = OltqParams(int(ell)).ell  # validates the patience limit
+    ell = int(ell)
+    if ell < 1:
+        raise ValueError("patience limit ell must be >= 1")
 
     def estimate_m(i: int, prediction: RequestSequence) -> int:
         last = prediction.support_length
@@ -218,10 +193,9 @@ class _GreedySweep:
     whole stack has.
     """
 
-    def __init__(self, ell: int, reserved: dict[int, float], t0: int):
+    def __init__(self, ell: int, reserved: dict[int, float]):
         self.ell = ell
         self.reserved = reserved  # slot -> prefix revenue realized there
-        self.t0 = t0
         self.stack: list[list[int]] = []  # [arrival, remaining units]
         self.value = 0.0
         self.assignments: dict[int, list[int]] = {}  # arrival -> slots served
@@ -247,14 +221,10 @@ class _GreedySweep:
             self.stack[-1][1] = remaining - 1
 
 
-def _reserved_slots(state: ScheduleState, t0: int, ell: int) -> dict[int, float]:
+def _reserved_slots(sim: OltqSimulator, t0: int) -> dict[int, float]:
     # Prefix actions can only reach slots in [t0, t0 + ell - 2].
-    out = {}
-    for slot in range(t0, t0 + ell - 1):
-        entry = state.claims.get(slot)
-        if entry is not None:
-            out[slot] = float(entry[1])
-    return out
+    return {slot: float(sim.claims[slot])
+            for slot in range(t0, t0 + sim.ell - 1) if slot in sim.claims}
 
 
 def ohrr_star(sim: OltqSimulator, t0: int, window: Sequence[int]) -> tuple[float, list[tuple]]:
@@ -266,7 +236,7 @@ def ohrr_star(sim: OltqSimulator, t0: int, window: Sequence[int]) -> tuple[float
     ordered so equal-revenue orders of one period serve lowest index first.
     """
     ell = sim.ell
-    sweep = _GreedySweep(ell, _reserved_slots(sim.state, t0, ell), t0)
+    sweep = _GreedySweep(ell, _reserved_slots(sim, t0))
     for i, e in enumerate(window):
         t = t0 + i
         sweep.push(t, int(e))
@@ -283,7 +253,7 @@ class OhrrMonitor(WindowMonitor):
     """Incremental window optimum: one stack operation per appended period."""
 
     def __init__(self, sim: OltqSimulator, t0: int):
-        self.sweep = _GreedySweep(sim.ell, _reserved_slots(sim.state, t0, sim.ell), t0)
+        self.sweep = _GreedySweep(sim.ell, _reserved_slots(sim, t0))
         self.t = t0 - 1
 
     def append(self, t: int, request: int) -> float:
@@ -307,15 +277,15 @@ class OhrrOracle(OfflineOracle):
 
 
 class QFracStarPolicy(OnlinePolicy):
-    def __init__(self, ell: int, eta_frac: Fraction, m: int):
+    def __init__(self, ell: int, reserve: int, m: int):
         self.ell = ell
-        self.eta_ell = eta_frac * ell
+        self.reserve = reserve  # ceil(eta * ell)
         self.next_slot = m + 1  # the U pointer
 
     def quota(self, t: int, e: int) -> int:
-        # N_t = min(e_t, floor(t + ell - U_t + 1 - eta * ell)), never negative.
-        bound = Fraction(t + self.ell - self.next_slot + 1) - self.eta_ell
-        return max(0, min(int(e), math.floor(bound)))
+        # N_t = min(e_t, floor(t + ell - U_t + 1 - eta * ell)), never negative;
+        # floor(n - x) = n - ceil(x) for the integer n = t + ell - U_t + 1.
+        return max(0, min(int(e), t + self.ell - self.next_slot + 1 - self.reserve))
 
     def act(self, t: int, request: int, rng: random.Random) -> tuple:
         e = int(request)
@@ -334,11 +304,12 @@ class QFracStarOracle(OnlineOracle):
 
     def __init__(self, ell: int):
         self.ell = ell
-        self.eta_frac = eta_oltq_fraction(ell)
-        self.eta = float(self.eta_frac)
+        eta_frac = eta_oltq_fraction(ell)
+        self.eta = float(eta_frac)
+        self.reserve = math.ceil(eta_frac * ell)
 
     def restart(self, sim: Simulator, m: int) -> QFracStarPolicy:
-        return QFracStarPolicy(self.ell, self.eta_frac, m)
+        return QFracStarPolicy(self.ell, self.reserve, m)
 
 
 def alpha_of_gamma(ell: int, gamma: float) -> float:
@@ -367,7 +338,6 @@ def adaswitch_oltq(ell: int, requests, prediction, epsilon: float,
                              seed=seed, switching_mode=switching_mode)
     report = run_adaswitch_exact(problem, requests, prediction, OhrrOracle(),
                                  QFracStarOracle(ell), config)
-    report.variant = "adaswitch-oltq"
     if report.opt and report.opt > 0:
         report.bounds["T5"] = theoretical_bound(
             "T5", eta=report.eta, epsilon=epsilon, ell=float(ell),
@@ -431,11 +401,9 @@ def strengthened_adaswitch_oltq(ell: int, requests, prediction, gamma: float,
     if opt_pred >= threshold:
         report = adaswitch_oltq(ell, requests, prediction, epsilon=eta - gamma,
                                 seed=seed)
-        report.variant = "strengthened-adaswitch-oltq"
         report.flags += ("branch-adaswitch",)
     else:
         report = run_qfrac_baseline(ell, requests, seed=seed)
-        report.variant = "strengthened-adaswitch-oltq"
         report.flags += ("branch-fallback",)
         problem = problem_instance(ell)
         report.phi_star = sequence_distance(problem, requests, prediction,
@@ -452,10 +420,12 @@ def write_instance(path: str, ell: int, arrivals: Sequence[int]) -> None:
 
 def read_instance(path: str) -> tuple[int, RequestSequence]:
     with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'ell T'")
-        ell, T = int(header[0]), int(header[1])
+        header = fh.readline().strip()
+        try:
+            ell, T = (int(x) for x in header.split())
+        except ValueError:
+            raise ValueError(f"{path}: line 1: expected header 'ell T', "
+                             f"got {header!r}") from None
         arrivals = []
         for lineno in range(2, T + 2):
             line = fh.readline()

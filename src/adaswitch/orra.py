@@ -252,10 +252,8 @@ def adaswitch_orra(params: OrraParams, requests, prediction, epsilon: float,
     online = PrrStarOracle(params, eta=eta_online)
     config = AdaSwitchConfig(epsilon=epsilon, b=2.0, c=float(params.d),
                              alpha=alpha, seed=seed, monte_carlo_cap=monte_carlo_cap)
-    report = run_adaswitch_gamma(problem, requests, prediction, OrraDpOracle(params),
-                                 online, config)
-    report.variant = "adaswitch-orra"
-    return report
+    return run_adaswitch_gamma(problem, requests, prediction, OrraDpOracle(params),
+                               online, config)
 
 
 def make_requests(params: OrraParams, rows) -> RequestSequence:
@@ -279,12 +277,18 @@ def write_instance(path: str, params: OrraParams, requests: RequestSequence) -> 
 
 def read_instance(path: str) -> tuple[OrraParams, RequestSequence]:
     with open(path, encoding="ascii") as fh:
-        n, d, T = (int(x) for x in fh.readline().split())
+        header = fh.readline().strip()
+        try:
+            n, d, T = (int(x) for x in header.split())
+        except ValueError:
+            raise ValueError(f"{path}: line 1: expected header 'n d T', "
+                             f"got {header!r}") from None
         params = OrraParams(n, d)
         rows = []
-        for _ in range(T):
+        for lineno in range(2, T + 2):
             bits = fh.readline().strip()
-            if len(bits) != n:
-                raise ValueError(f"{path}: expected length-{n} bitstrings")
+            if len(bits) != n or not set(bits) <= {"0", "1"}:
+                raise ValueError(f"{path}: line {lineno}: expected a length-{n} "
+                                 f"0/1 string, got {bits!r}")
             rows.append(tuple(int(ch) for ch in bits))
     return params, make_requests(params, rows)

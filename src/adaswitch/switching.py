@@ -509,8 +509,7 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
                     plan = _Plan(t, actions)
                     tau_p = tp
             a = plan.action_at(t) if plan is not None else _first_action(problem, t, e)
-        problem.check_action(t, e, a)
-        r = sim.step(t, e, a)
+        r = sim.step(t, e, a)  # rejects an action outside the period's set
         log_requests.append(e)
         log_actions.append(a)
         log_rewards.append(r)

@@ -14,6 +14,7 @@ import math
 import random
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import kserver as ks
@@ -360,6 +361,33 @@ def prop_qfrac_schedule_state(scale: float = 1.0, seed: int = 203) -> PropertyRe
                         f"ell={ell} m={m} t={t} e={e} slot={slot} used={sorted(used)}")
                 used.add(slot)
     return PropertyResult("oltq/qfrac-star-schedule-state", True)
+
+
+def prop_qfrac_quota_matches_fraction(scale: float = 1.0, seed: int = 207) -> PropertyResult:
+    """The online policy's integer quota equals the written-out rational
+    formula max(0, min(e, floor(t + ell - U + 1 - eta * ell))) for ell in
+    1..60, both where eta * ell is an integer and where it is not."""
+    name = "oltq/qfrac-star-quota-matches-fraction"
+    rng = random.Random(seed)
+    integral = set()
+    for ell in range(1, 61):
+        eta_ell = oltq.eta_oltq_fraction(ell) * ell
+        integral.add(eta_ell.denominator == 1)
+        policy = oltq.QFracStarOracle(ell).restart(oltq.OltqSimulator(ell), 0)
+        for _ in range(_scaled(20, scale)):
+            t = rng.randint(1, 100)
+            policy.next_slot = rng.randint(1, t + 2 * ell)
+            e = rng.randint(0, ell)
+            bound = Fraction(t + ell - policy.next_slot + 1) - eta_ell
+            expected = max(0, min(e, math.floor(bound)))
+            got = policy.quota(t, e)
+            if got != expected:
+                return PropertyResult(
+                    name, False, f"ell={ell} t={t} next_slot={policy.next_slot} "
+                                 f"e={e} quota={got} expected={expected}")
+    if integral != {True, False}:
+        return PropertyResult(name, False, f"eta*ell integral only: {integral}")
+    return PropertyResult(name, True)
 
 
 def prop_alpha_gamma(scale: float = 1.0, seed: int = 204) -> PropertyResult:
@@ -1167,6 +1195,7 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_ohrr_exactness,
         prop_qfrac_robustness,
         prop_qfrac_schedule_state,
+        prop_qfrac_quota_matches_fraction,
         prop_alpha_gamma,
         prop_oltq_constants,
         prop_adaswitch_oltq_bounds,

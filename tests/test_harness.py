@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from adaswitch import harness
+from adaswitch import harness, kserver, oltq, orra
 
 
 SMALL_SPEC = """
@@ -226,7 +226,6 @@ algorithm.name adaswitch
         assert all(r["ratio"] is None or r["ratio"] >= 1.0 - 1e-9 for r in rows)
 
     def test_orra_sweep_from_files(self, tmp_path):
-        from adaswitch import orra
         params = orra.OrraParams(2, 2)
         rng = random.Random(5)
         reqs = orra.make_requests(
@@ -248,6 +247,21 @@ algorithm.mc_cap 30
         assert all(not str(r["flags"]).startswith("error:") for r in rows)
         assert all(r["ratio"] is None or 0.0 <= r["ratio"] <= 1.0 + 1e-9
                    for r in rows)
+
+    @pytest.mark.parametrize("read, text, line", [
+        (oltq.read_instance, "3 x\n1\n", 1),
+        (orra.read_instance, "2 2\n11\n", 1),
+        (orra.read_instance, "2 2 2\n11\n1\n", 3),
+        (kserver.read_metric, "3\na\nb\nc\nuniform\n", 1),
+        (kserver.read_metric, "2 k\na\nb\nuniform\n", 1),
+        (kserver.read_metric, "2 1\na\nb\n0 x\n1 0\n", 4),
+    ], ids=["oltq-header-field", "orra-header-short", "orra-short-bitstring",
+            "metric-header-short", "metric-header-field", "metric-distance-field"])
+    def test_malformed_file_names_path_and_line(self, tmp_path, read, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.txt: line {line}: expected"):
+            read(str(path))
 
 
 class TestEmission:

@@ -12,6 +12,7 @@ from adaswitch.validation import (
     prop_alpha_gamma,
     prop_ohrr_exactness,
     prop_oltq_constants,
+    prop_qfrac_quota_matches_fraction,
     prop_qfrac_robustness,
     prop_qfrac_schedule_state,
 )
@@ -154,6 +155,9 @@ class TestQFracStar:
 
     def test_schedule_state_property(self):
         assert prop_qfrac_schedule_state().ok
+
+    def test_integer_quota_matches_fraction_property(self):
+        assert prop_qfrac_quota_matches_fraction().ok
 
 
 class TestAlphaGamma:

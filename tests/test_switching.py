@@ -18,7 +18,8 @@ from adaswitch import (
 )
 from adaswitch import kserver as ks
 from adaswitch import oltq, orra
-from adaswitch.switching import _mc_estimate
+from adaswitch.framework import InvalidActionError
+from adaswitch.switching import OnlineOracle, OnlinePolicy, _mc_estimate
 from adaswitch.validation import (
     prop_bound_arithmetic,
     prop_cached_plan_matches_replan,
@@ -429,3 +430,52 @@ class TestCostRunner:
                                      ks.MarkingOracle(metric, k), config)
         assert report.variant == "gamma-min"
         assert report.val >= report.opt  # a cost run can never beat optimum
+
+
+class _FixedActionOracle(OnlineOracle, OnlinePolicy):
+    """Online oracle, and its own policy, that answers every period with
+    one action."""
+
+    def __init__(self, eta, action):
+        self.eta = eta
+        self.action = action
+
+    def restart(self, sim, m):
+        return self
+
+    def act(self, t, request, rng):
+        return self.action
+
+
+def _oltq_case():
+    return (run_adaswitch_exact, oltq.problem_instance(2), oltq.make_requests(2, [1, 1]),
+            oltq.OhrrOracle(), _FixedActionOracle(oltq.eta_oltq(2), (5,)),
+            AdaSwitchConfig(epsilon=0.2, b=1.0, c=3.0))
+
+
+def _caching_case():
+    metric = ks.MetricSpace.uniform(["a", "b", "c"])
+    eta = 2 * (math.log(2) + 1)
+    return (run_adaswitch_exact, ks.problem_instance(metric, ks.ServerConfig(("a", "b"))),
+            ks.make_requests(["c", "a"]), ks.KserverOfflineOracle(metric),
+            _FixedActionOracle(eta, 3), AdaSwitchConfig(epsilon=eta, b=2.0, c=2.0))
+
+
+def _orra_case():
+    params = orra.OrraParams(2, 2)
+    return (run_adaswitch_gamma, orra.problem_instance(params),
+            orra.make_requests(params, [(1, 1), (1, 0)]), orra.OrraDpOracle(params),
+            _FixedActionOracle(0.589, 3),
+            AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0, alpha=3.0))
+
+
+class TestRunnerRejectsInvalidActions:
+    """The loop relies on the simulator's step to reject an action outside
+    the period's action set; a policy that emits one stops the run there."""
+
+    @pytest.mark.parametrize("case", [_oltq_case, _caching_case, _orra_case],
+                             ids=["oltq-exact", "caching-exact", "orra-gamma"])
+    def test_out_of_range_online_action(self, case):
+        runner, problem, requests, offline, online, config = case()
+        with pytest.raises(InvalidActionError, match="period 1"):
+            runner(problem, requests, requests, offline, online, config)
