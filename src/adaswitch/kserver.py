@@ -469,11 +469,11 @@ def wfa_step(table: WorkFunctionTable, current: Sequence[str],
     best_cfg = None
     best_score = math.inf
     for cfg in sorted(values):
-        score = values[cfg] + config_distance(table.metric, cfg, current_sorted)
+        move = config_distance(table.metric, cfg, current_sorted)
+        score = values[cfg] + move
         if score < best_score - 1e-12:
             best_score = score
-            best_cfg = cfg
-    move_cost = config_distance(table.metric, best_cfg, current_sorted)
+            best_cfg, move_cost = cfg, move
     serve_slot = best_cfg.index(e)
     return best_cfg, serve_slot, move_cost
 
@@ -489,7 +489,7 @@ class WfaPolicy(OnlinePolicy):
         self.table = WorkFunctionTable(metric, initial, cap)
         self.virtual = list(initial)
 
-    def act(self, t: int, request: Any, rng: random.Random) -> int:
+    def act(self, t: int, request: Any, rng: Optional[random.Random]) -> int:
         if request is BOT:
             return 1
         cfg, _, _ = wfa_step(self.table, self.virtual, request)
@@ -598,7 +598,7 @@ def adaswitch_kse(metric: MetricSpace, initial: ServerConfig, requests, predicti
             raise ContractError("caching variant requires the uniform metric")
         online: OnlineOracle = MarkingOracle(metric, k)
         if epsilon is None:
-            epsilon = 2.0 * (math.log(k) + 1.0)
+            epsilon = online.eta
     elif variant == "general":
         online = WfaOracle(metric, k)
         if epsilon is None:
@@ -676,9 +676,11 @@ def read_metric(path: str) -> tuple[MetricSpace, int]:
         header = fh.readline().strip()
         try:
             n, k = (int(x) for x in header.split())
+            if not 1 <= k <= n:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{path}: line 1: expected header 'n k', "
-                             f"got {header!r}") from None
+            raise ValueError(f"{path}: line 1: expected header 'n k' with "
+                             f"1 <= k <= n, got {header!r}") from None
         points = [fh.readline().strip() for _ in range(n)]
         pos = fh.tell()
         first = fh.readline().strip()

@@ -31,6 +31,7 @@ from .framework import (
     sequence_distance,
 )
 from .switching import (
+    CONSERVATIVE,
     AdaSwitchConfig,
     CompetitiveReport,
     OfflineOracle,
@@ -38,7 +39,7 @@ from .switching import (
     OnlinePolicy,
     WindowMonitor,
     run_adaswitch_exact,
-    stream,
+    stream,  # unused here; kept because perfbench/tracing.py traces oltq:stream
     theoretical_bound,
 )
 
@@ -287,7 +288,7 @@ class QFracStarPolicy(OnlinePolicy):
         # floor(n - x) = n - ceil(x) for the integer n = t + ell - U_t + 1.
         return max(0, min(int(e), t + self.ell - self.next_slot + 1 - self.reserve))
 
-    def act(self, t: int, request: int, rng: random.Random) -> tuple:
+    def act(self, t: int, request: int, rng: Optional[random.Random]) -> tuple:
         e = int(request)
         n = self.quota(t, e)
         action = tuple(self.next_slot + i for i in range(n)) + (DECLINE,) * (e - n)
@@ -356,7 +357,7 @@ def run_qfrac_baseline(ell: int, requests, seed: int = 0) -> CompetitiveReport:
     total = 0.0
     for t in range(1, requests.effective_length + 1):
         e = requests.at(t)
-        a = policy.act(t, e, stream(seed, "online", 1, t))
+        a = policy.act(t, e, None)
         r = sim.step(t, e, a)
         log[0].append(e)
         log[1].append(a)
@@ -369,7 +370,7 @@ def run_qfrac_baseline(ell: int, requests, seed: int = 0) -> CompetitiveReport:
         seed=seed, variant="qfrac-star",
         epsilon=0.0, b=1.0, c=float(ell + 1), alpha=None,
         eta=oracle.eta, gamma=1.0, val=total, opt=opt,
-        phi_star=0.0, switch_count=0, epochs=((1, "conservative"),) if requests.effective_length else (),
+        phi_star=0.0, switch_count=0, epochs=((1, CONSERVATIVE),) if requests.effective_length else (),
         trajectory=traj)
 
 
@@ -423,9 +424,11 @@ def read_instance(path: str) -> tuple[int, RequestSequence]:
         header = fh.readline().strip()
         try:
             ell, T = (int(x) for x in header.split())
+            if ell < 1 or T < 0:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{path}: line 1: expected header 'ell T', "
-                             f"got {header!r}") from None
+            raise ValueError(f"{path}: line 1: expected header 'ell T' with "
+                             f"ell >= 1 and T >= 0, got {header!r}") from None
         arrivals = []
         for lineno in range(2, T + 2):
             line = fh.readline()

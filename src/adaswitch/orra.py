@@ -11,12 +11,14 @@ every d periods and serves greedily by the current ranking.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .framework import (
     MAXIMIZE,
+    ContractError,
     InvalidActionError,
     OracleTooLargeError,
     ProblemInstance,
@@ -114,20 +116,27 @@ def orra_offline_dp(params: OrraParams, avail: AvailabilityVector, t0: int,
                     window: Sequence[Sequence[int]],
                     budget: int = DEFAULT_DP_BUDGET) -> tuple[float, list[int]]:
     """Exact maximum served count over the window by dynamic programming on
-    per-resource remaining-busy counters in {0, ..., d-1}.
+    per-resource remaining-busy counters in {0, ..., d-1}; every period's
+    layer holds all d^n counter vectors.
 
     Decoding prefers serving over rejecting and the lowest resource index
-    among optimal choices.  Raises once d^n * window exceeds the budget.
+    among optimal choices.  Raises OracleTooLargeError once d^n * window
+    exceeds the budget, and ContractError for a start outside the d^n
+    states: a resource busy past t0 + d - 1, i.e. t0 before its last
+    service.
     """
     n, d = params.n, params.d
     T = len(window)
     if T == 0:
         return 0.0, []
-    if d ** n * max(T, 1) > budget:
+    if d ** n * T > budget:
         raise OracleTooLargeError(
             f"DP needs {d ** n} states over {T} periods, budget {budget}")
 
     start = tuple(max(0, avail.times[i] - t0) for i in range(n))
+    if max(start) >= d:
+        raise ContractError(f"t0={t0} precedes a service: busy counters {start} "
+                            f"leave the states 0..{d - 1}")
 
     def decay(state: tuple) -> tuple:
         return tuple(c - 1 if c > 0 else 0 for c in state)
@@ -138,24 +147,13 @@ def orra_offline_dp(params: OrraParams, avail: AvailabilityVector, t0: int,
         return tuple(nxt)
 
     # value_to_go[state] over periods window[i:]; built backwards.
-    layers: list[dict[tuple, float]] = [dict() for _ in range(T + 1)]
-    reachable = {start}
-    forward: list[set] = [set() for _ in range(T)]
-    for i in range(T):
-        forward[i] = reachable
-        nxt = set()
-        for state in reachable:
-            nxt.add(decay(state))
-            for r in range(1, n + 1):
-                if window[i][r - 1] == 1 and state[r - 1] == 0:
-                    nxt.add(after_serving(state, r))
-        reachable = nxt
-    layers[T] = {state: 0.0 for state in reachable}
+    states = list(itertools.product(range(d), repeat=n))
+    layers: list[dict[tuple, float]] = [{}] * T + [dict.fromkeys(states, 0.0)]
     for i in range(T - 1, -1, -1):
         e = window[i]
         layer = {}
         nxt = layers[i + 1]
-        for state in forward[i]:
+        for state in states:
             best = nxt[decay(state)]
             for r in range(1, n + 1):
                 if e[r - 1] == 1 and state[r - 1] == 0:
@@ -280,9 +278,11 @@ def read_instance(path: str) -> tuple[OrraParams, RequestSequence]:
         header = fh.readline().strip()
         try:
             n, d, T = (int(x) for x in header.split())
+            if n < 1 or d < 1 or T < 0:
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{path}: line 1: expected header 'n d T', "
-                             f"got {header!r}") from None
+            raise ValueError(f"{path}: line 1: expected header 'n d T' with "
+                             f"n, d >= 1 and T >= 0, got {header!r}") from None
         params = OrraParams(n, d)
         rows = []
         for lineno in range(2, T + 2):

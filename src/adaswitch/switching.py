@@ -48,9 +48,9 @@ def child_seed(root: int, *labels: Any) -> int:
     """Derive a child RNG seed from the root seed and a label tuple.
 
     The split is a SHA-256 of the repr of (root, *labels), truncated to 64
-    bits.  Live policy actions draw from a stream per (purpose, phase,
-    period) and Monte Carlo rollouts from one per (purpose, period, rollout
-    index), so any single decision point is reproducible in isolation.
+    bits.  Randomized policies draw live from a stream per (purpose, phase,
+    period) and in rollouts from one per (purpose, period, rollout index),
+    so any single decision point is reproducible; deterministic ones get none.
     """
     digest = hashlib.sha256(repr((root,) + labels).encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -227,7 +227,7 @@ class OfflineOracle:
 class OnlinePolicy:
     """One restarted instance of an online oracle."""
 
-    def act(self, t: int, request: Any, rng: random.Random) -> Any:
+    def act(self, t: int, request: Any, rng: Optional[random.Random]) -> Any:
         raise NotImplementedError
 
 
@@ -237,7 +237,7 @@ class OnlineOracle:
     ``restart(sim, m)`` returns the policy that treats period ``m`` as the
     end of history; it may read the simulator's current state.
     ``deterministic`` policies are replayed with a single rollout wherever a
-    Monte Carlo estimate is called for.
+    Monte Carlo estimate is called for, and are handed ``rng=None``.
     """
 
     eta: float = 1.0
@@ -364,10 +364,9 @@ def _mc_estimate(problem: ProblemInstance, snapshot: Simulator,
             return total / n, capped  # already reached
         sim = snapshot.clone()
         policy = oracle.restart(sim, tau - 1)
-        rng = stream(config.seed, "mc", t, j)  # one stream per rollout
+        rng = None if oracle.deterministic else stream(config.seed, "mc", t, j)
         rollout = 0.0
-        for i, e in enumerate(window):
-            period = tau + i
+        for period, e in enumerate(window, start=tau):
             a = policy.act(period, e, rng)
             rollout += sim.step(period, e, a)
         total += rollout
@@ -452,7 +451,7 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
     thr = threshold_table(config, objective, kind, eta, gamma, L)
     cap = config.c / config.b
     regret = config.switching_mode == REGRET_BASED
-    estimate = not exact and not online_oracle.deterministic
+    randomized = not online_oracle.deterministic
 
     sim = problem.new_simulator(start_prefix)
     prefix = start_prefix if start_prefix is not None else Trajectory()
@@ -485,7 +484,7 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
                     phase_window: list[Any] = []
                 phase_val = 0.0
                 epochs.append((tau, CONSERVATIVE))
-            a = policy.act(t, e, stream(config.seed, "online", tau, t))
+            a = policy.act(t, e, stream(config.seed, "online", tau, t) if randomized else None)
         else:
             e_pred = prediction.at(t)
             if exact:
@@ -522,7 +521,7 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
             else:
                 phase_window.append(e)
                 s = phase_val
-                if estimate:
+                if randomized:
                     s, capped = _mc_estimate(problem, phase_snapshot, phase_window,
                                              online_oracle, tau, t, config,
                                              threshold=thr.conservative_exit)

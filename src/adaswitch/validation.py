@@ -117,6 +117,18 @@ def random_orra_requests(rng: random.Random, n: int, window: int) -> list[tuple]
     return [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(window)]
 
 
+def random_orra_prefix(rng: random.Random, problem: ProblemInstance,
+                       n: int) -> Trajectory:
+    """A 1-3 period prefix of random requests and random actions."""
+    sim = problem.new_simulator()
+    traj = Trajectory()
+    for t in range(1, rng.randint(1, 3) + 1):
+        e = tuple(rng.randint(0, 1) for _ in range(n))
+        a = rng.randint(0, n)
+        traj = traj.extended(e, a, sim.step(t, e, a))
+    return traj
+
+
 def _orra_rows(rng: random.Random, n: int, window: int, density: float) -> list[tuple]:
     return [tuple(int(rng.random() < density) for _ in range(n)) for _ in range(window)]
 
@@ -684,7 +696,9 @@ def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
 def prop_orra_dp_exactness(scale: float = 1.0, seed: int = 401,
                            seeds_per_cell: int = 3) -> PropertyResult:
     """Grid sweep n <= 3, d <= 3, window <= 8: the DP equals exhaustive
-    search (and enumerates all patterns where that is feasible)."""
+    search (and enumerates all patterns where that is feasible), from a
+    fresh start and after a random 1-3 period prefix, and its plan
+    replays to the same value."""
     rng = random.Random(seed)
     per_cell = _scaled(seeds_per_cell, scale)
     for n in range(1, 4):
@@ -700,15 +714,18 @@ def prop_orra_dp_exactness(scale: float = 1.0, seed: int = 401,
                     for _ in range(per_cell):
                         patterns.append(random_orra_requests(rng, n, w))
                 for pat in patterns:
-                    expected, _ = brute_force_opt(problem, pat)
-                    got, actions = orra.orra_offline_dp(
-                        params, orra.AvailabilityVector.fresh(n), 1, pat)
-                    replayed = evaluate_trajectory(problem, pat, actions)
-                    if got != expected or replayed != expected:
-                        return PropertyResult(
-                            "orra/dp-exactness", False,
-                            f"n={n} d={d} pattern={pat} dp={got} "
-                            f"replayed={replayed} brute={expected}")
+                    for prefix in (None, random_orra_prefix(rng, problem, n)):
+                        sim = problem.new_simulator(prefix)
+                        m = prefix.m if prefix is not None else 0
+                        expected, _ = brute_force_opt(problem, pat, from_prefix=prefix)
+                        got, actions = orra.orra_offline_dp(params, sim.avail, m + 1, pat)
+                        replayed = evaluate_trajectory(problem, pat, actions,
+                                                       from_prefix=prefix)
+                        if got != expected or replayed != expected:
+                            return PropertyResult(
+                                "orra/dp-exactness", False,
+                                f"n={n} d={d} prefix={prefix} pattern={pat} dp={got} "
+                                f"replayed={replayed} brute={expected}")
     return PropertyResult("orra/dp-exactness", True)
 
 

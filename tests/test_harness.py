@@ -255,8 +255,18 @@ algorithm.mc_cap 30
         (kserver.read_metric, "3\na\nb\nc\nuniform\n", 1),
         (kserver.read_metric, "2 k\na\nb\nuniform\n", 1),
         (kserver.read_metric, "2 1\na\nb\n0 x\n1 0\n", 4),
+        (oltq.read_instance, "3 -2\n", 1),
+        (oltq.read_instance, "0 0\n", 1),
+        (orra.read_instance, "2 2 -1\n", 1),
+        (orra.read_instance, "0 2 1\n\n", 1),
+        (orra.read_instance, "2 0 1\n11\n", 1),
+        (kserver.read_metric, "2 5\na\nb\nuniform\n", 1),
+        (kserver.read_metric, "2 0\na\nb\nuniform\n", 1),
+        (kserver.read_metric, "-1 1\nuniform\n", 1),
     ], ids=["oltq-header-field", "orra-header-short", "orra-short-bitstring",
-            "metric-header-short", "metric-header-field", "metric-distance-field"])
+            "metric-header-short", "metric-header-field", "metric-distance-field",
+            "oltq-negative-T", "oltq-zero-ell", "orra-negative-T", "orra-zero-n",
+            "orra-zero-d", "metric-k-above-n", "metric-zero-k", "metric-negative-n"])
     def test_malformed_file_names_path_and_line(self, tmp_path, read, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from adaswitch import OracleTooLargeError, Trajectory
+from adaswitch import ContractError, OracleTooLargeError, Trajectory
 from adaswitch import orra
 from adaswitch.validation import (
     prop_orra_busy_resource,
@@ -73,6 +73,12 @@ class TestOfflineDp:
                                             [(1,), (1,), (1,)])
         assert val == 1.0  # only period 4 (window position 3) can serve
         assert actions == [0, 0, 1]
+
+    def test_start_before_last_service_is_outside_the_states(self):
+        # Busy until 5 seen from t0 = 1: counter 4 > d - 1 = 1.
+        params = orra.OrraParams(1, 2)
+        with pytest.raises(ContractError, match=r"t0=1 .*\(4,\)"):
+            orra.orra_offline_dp(params, orra.AvailabilityVector([5]), 1, [(1,)] * 6)
 
     def test_exactness_sweep(self):
         assert prop_orra_dp_exactness().ok

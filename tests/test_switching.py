@@ -19,7 +19,7 @@ from adaswitch import (
 from adaswitch import kserver as ks
 from adaswitch import oltq, orra
 from adaswitch.framework import InvalidActionError
-from adaswitch.switching import OnlineOracle, OnlinePolicy, _mc_estimate
+from adaswitch.switching import OnlineOracle, OnlinePolicy, _mc_estimate, stream
 from adaswitch.validation import (
     prop_bound_arithmetic,
     prop_cached_plan_matches_replan,
@@ -479,3 +479,93 @@ class TestRunnerRejectsInvalidActions:
         runner, problem, requests, offline, online, config = case()
         with pytest.raises(InvalidActionError, match="period 1"):
             runner(problem, requests, requests, offline, online, config)
+
+
+class _RecordingOracle(OnlineOracle):
+    """Online oracle whose policies reject every request and record, per
+    act call, (restart index, tau, period, what the rng gave): None, or
+    the first draw of the stream handed in."""
+
+    eta = 0.5
+
+    def __init__(self, deterministic):
+        self.deterministic = deterministic
+        self.calls = []
+        self.restarts = 0
+
+    def restart(self, sim, m):
+        oracle, index = self, self.restarts
+        self.restarts += 1
+
+        class Policy(OnlinePolicy):
+            def act(self, t, request, rng):
+                oracle.calls.append((index, m + 1, t, rng if rng is None else rng.random()))
+                return 0
+
+        return Policy()
+
+
+def _orra_stream_case(online, runner=run_adaswitch_exact):
+    # The prediction misses every period, so predictive phases revert and
+    # the run restarts the online policy at several tau.
+    params = orra.OrraParams(1, 2)
+    requests = orra.make_requests(params, [(1,)] * 200)
+    prediction = orra.make_requests(params, [(0,)] * 200)
+    config = AdaSwitchConfig(epsilon=0.45, b=2.0, c=2.0, alpha=3.0, seed=11)
+    report = runner(orra.problem_instance(params), requests, prediction,
+                    orra.OrraDpOracle(params), online, config)
+    return report, config
+
+
+class TestRandomStreams:
+    """A deterministic policy is handed no stream; a randomized one draws
+    from the stream keyed by (online, tau, t) live and (mc, t, j) per
+    rollout."""
+
+    @pytest.mark.parametrize("runner", [run_adaswitch_exact, run_adaswitch_gamma])
+    def test_runners_hand_deterministic_policies_none(self, runner):
+        online = _RecordingOracle(deterministic=True)
+        _orra_stream_case(online, runner)
+        assert online.calls
+        assert {rng for *_, rng in online.calls} == {None}
+
+    def test_monte_carlo_hands_deterministic_policies_none(self):
+        params = orra.OrraParams(1, 2)
+        online = _RecordingOracle(deterministic=True)
+        monte_carlo_estimate(orra.problem_instance(params), Trajectory(),
+                             [(1,)] * 5, online, t=5,
+                             config=AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0))
+        assert len(online.calls) == 5
+        assert {rng for *_, rng in online.calls} == {None}
+
+    def test_qfrac_baseline_hands_its_policy_none(self, monkeypatch):
+        seen = []
+        act = oltq.QFracStarPolicy.act
+
+        def recording_act(self, t, request, rng):
+            seen.append(rng)
+            return act(self, t, request, rng)
+
+        monkeypatch.setattr(oltq.QFracStarPolicy, "act", recording_act)
+        oltq.run_qfrac_baseline(3, [2, 1, 3, 0, 2], seed=4)
+        assert seen and set(seen) == {None}
+
+    def test_live_periods_draw_from_the_online_stream(self):
+        online = _RecordingOracle(deterministic=False)
+        report, config = _orra_stream_case(online)
+        assert report.switch_count >= 2
+        assert len({tau for _, tau, _, _ in online.calls}) >= 3
+        for _, tau, t, draw in online.calls:
+            assert draw == stream(config.seed, "online", tau, t).random()
+
+    def test_rollouts_draw_from_the_mc_stream(self):
+        params = orra.OrraParams(1, 2)
+        online = _RecordingOracle(deterministic=False)
+        config = AdaSwitchConfig(epsilon=0.2, b=2.0, c=2.0, seed=3,
+                                 monte_carlo_cap=6)
+        monte_carlo_estimate(orra.problem_instance(params), Trajectory(),
+                             [(1,)] * 4, online, t=7, config=config)
+        first = {}
+        for j, _, _, draw in online.calls:
+            first.setdefault(j, draw)
+        assert first == {j: stream(config.seed, "mc", 7, j).random() for j in range(6)}
