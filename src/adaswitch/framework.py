@@ -67,13 +67,16 @@ class RequestSequence:
     between the support and a declared effective length must hold.
     """
 
-    __slots__ = ("items", "null_request", "_effective_length")
+    __slots__ = ("items", "null_request", "support_length", "_effective_length")
 
     def __init__(self, items: Sequence[Any], null_request: Any,
                  effective_length: Optional[int] = None):
         self.items = tuple(items)
         self.null_request = null_request
-        support = self._support_length()
+        support = len(self.items)
+        while support and self.items[support - 1] == null_request:
+            support -= 1
+        self.support_length = support
         if effective_length is None:
             effective_length = support
         if effective_length < support:
@@ -82,19 +85,9 @@ class RequestSequence:
                 f"non-null request at period {support}")
         self._effective_length = effective_length
 
-    def _support_length(self) -> int:
-        for i in range(len(self.items) - 1, -1, -1):
-            if self.items[i] != self.null_request:
-                return i + 1
-        return 0
-
     @property
     def effective_length(self) -> int:
         return self._effective_length
-
-    @property
-    def support_length(self) -> int:
-        return self._support_length()
 
     def at(self, t: int) -> Any:
         """Request of period ``t`` (1-based); null past the stored items."""

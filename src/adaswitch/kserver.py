@@ -3,11 +3,13 @@
 Each period brings one request point (or the empty request).  Serving moves
 one chosen server to the request and costs the moved distance; distances
 live in [0, 1] so L = 1 and the objective is minimization.  The exact
-offline solver reduces the window to a minimum-cost maximum-flow over
-server-to-request chains; the switching runner needs that plan only when it
-replans.  Window values (the conservative monitor and the whole-horizon
-optimum) come from the work function instead, one table layer per request,
-with the flow as the fallback where the work function would cost more.
+offline solver plans a uniform metric (caching) with Belady's
+farthest-in-future rule in O(W k), and any other metric by reducing the
+window to a minimum-cost maximum-flow over server-to-request chains; the
+switching runner needs a plan only when it replans.  Window values (the
+conservative monitor and the whole-horizon optimum) come from the work
+function instead, one table layer per request, with the exact solver as the
+fallback where the work function would cost more.
 Two online policies are provided: the work function algorithm for general
 metrics and the randomized marking rule for the uniform metric, both
 restartable from any mid-stream configuration because a conditioned
@@ -161,7 +163,8 @@ def problem_instance(metric: MetricSpace, initial: ServerConfig) -> ProblemInsta
 
 
 # ---------------------------------------------------------------------------
-# Exact offline solver: minimum-cost maximum-flow over service chains.
+# Exact offline solver: Belady's rule on uniform metrics, a minimum-cost
+# maximum-flow over service chains on all others.
 
 
 class _FlowNetwork:
@@ -244,19 +247,73 @@ def _min_cost_flow(net: _FlowNetwork, source: int, sink: int, units: int) -> Non
 
 def offline_kserver(metric: MetricSpace, positions: Sequence[str],
                     window: Sequence[Any], t0: int = 1) -> tuple[float, list[int]]:
-    """Exact minimum service cost for the window from the given positions.
+    """Exact minimum service cost for the window from the given positions,
+    with a plan that attains it: Belady's rule on a uniform metric, the
+    minimum-cost flow on any other.  Empty-request periods get server 1.
+    The cost is the plan replayed through the simulator, so it is
+    accumulated exactly."""
+    if metric.uniform_flag:
+        actions = _belady_plan(positions, window)
+    else:
+        actions = _flow_plan(metric, positions, window)
+    sim = KserverSimulator(metric, positions)
+    cost = 0.0
+    for i, e in enumerate(window):
+        cost += sim.step(t0 + i, e, actions[i])
+    return cost, actions
 
-    Source feeds the k servers; each request splits into an in/out pair
-    whose arc carries a large negative cost so every request is served;
-    out-nodes connect forward to later requests with movement costs.  The
-    decoded chains give per-request server assignments, replayed to return
-    an exactly accumulated cost.  Empty-request periods get server 1.
-    """
+
+def _belady_plan(positions: Sequence[str], window: Sequence[Any]) -> list[int]:
+    """Farthest-in-future paging (Belady 1966), optimal when every move
+    costs 1.  A hit goes to the lowest-index server on the point; a miss
+    moves the server whose point is needed farthest ahead, counting a point
+    never needed again, and every copy of a point after its lowest-index
+    server, as infinitely far; ties go to the lowest index.  Each choice
+    depends only on the servers' points and the rest of the window, so a
+    replan along the same window reproduces the plan's suffix."""
+    k = len(positions)
+    actions = [1] * len(window)
+    nxt = [math.inf] * len(window)
+    first: dict[Any, int] = {}  # after the pass: each point's first use
+    for i in range(len(window) - 1, -1, -1):
+        e = window[i]
+        if e is not BOT:
+            nxt[i] = first.get(e, math.inf)
+            first[e] = i
+    points = list(positions)
+    holder: dict[Any, int] = {}  # point -> lowest-index server on it
+    due = [math.inf] * k  # next use of each server's point
+    for s, p in enumerate(points):
+        if p not in holder:
+            holder[p] = s
+            due[s] = first.get(p, math.inf)
+    for i, e in enumerate(window):
+        if e is BOT:
+            continue
+        s = holder.get(e)
+        if s is None:
+            s = max(range(k), key=due.__getitem__)
+            if holder.get(points[s]) == s:
+                del holder[points[s]]
+            holder[e] = s
+            points[s] = e
+        due[s] = nxt[i]
+        actions[i] = s + 1
+    return actions
+
+
+def _flow_plan(metric: MetricSpace, positions: Sequence[str],
+               window: Sequence[Any]) -> list[int]:
+    """Minimum-cost maximum-flow over service chains.  Source feeds the k
+    servers; each request splits into an in/out pair whose arc carries a
+    large negative cost so every request is served; out-nodes connect
+    forward to later requests with movement costs.  The decoded chains give
+    the per-request server assignments."""
     k = len(positions)
     reqs = [(i, e) for i, e in enumerate(window) if e is not BOT]
     actions = [1] * len(window)
     if not reqs:
-        return 0.0, actions
+        return actions
     W = len(reqs)
     bonus = float(W + k + 1)
     # node layout: 0 source | 1..k servers | then per request (in, out) | sink
@@ -312,16 +369,13 @@ def offline_kserver(metric: MetricSpace, positions: Sequence[str],
             j = (nxt - (1 + k)) // 2
             actions[reqs[j][0]] = i + 1
             node = req_out(j)
-    sim = KserverSimulator(metric, positions)
-    cost = 0.0
-    for i, e in enumerate(window):
-        cost += sim.step(t0 + i, e, actions[i])
-    return cost, actions
+    return actions
 
 
 class KserverOfflineOracle(OfflineOracle):
-    """Flow plans; window values from the work function where it is cheaper
-    (see :class:`WorkFunctionMonitor`), from the flow elsewhere."""
+    """Plans from :func:`offline_kserver` (Belady on uniform metrics, the
+    flow elsewhere); window values from the work function where it is
+    cheaper (see :class:`WorkFunctionMonitor`), from re-solving elsewhere."""
 
     gamma = 1.0
 
@@ -444,8 +498,8 @@ _WORK_FUNCTION_MAX_STEP = 2000
 class WorkFunctionMonitor(WindowMonitor):
     """Window optimum as the minimum of the work function (Koutsoupias and
     Papadimitriou 1995): the cheapest cost of serving the window from the
-    start positions and ending in any configuration, which equals the flow
-    optimum.  One table layer per non-empty request replaces a whole flow
+    start positions and ending in any configuration, which equals the
+    offline optimum.  One table layer per non-empty request replaces a whole
     re-solve per append."""
 
     def __init__(self, metric: MetricSpace, positions: Sequence[str]):
@@ -681,7 +735,13 @@ def read_metric(path: str) -> tuple[MetricSpace, int]:
         except ValueError:
             raise ValueError(f"{path}: line 1: expected header 'n k' with "
                              f"1 <= k <= n, got {header!r}") from None
-        points = [fh.readline().strip() for _ in range(n)]
+        points = []
+        for lineno in range(2, n + 2):
+            p = fh.readline().strip()
+            if p in points:
+                raise ValueError(f"{path}: line {lineno}: expected a new point id, "
+                                 f"got duplicate {p!r}")
+            points.append(p)
         pos = fh.tell()
         first = fh.readline().strip()
         if first == "uniform":

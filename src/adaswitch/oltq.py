@@ -433,8 +433,11 @@ def read_instance(path: str) -> tuple[int, RequestSequence]:
         for lineno in range(2, T + 2):
             line = fh.readline()
             try:
-                arrivals.append(int(line))
+                a = int(line)
+                if not 0 <= a <= ell:
+                    raise ValueError
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected an arrival count, "
-                                 f"got {line.strip()!r}") from None
+                raise ValueError(f"{path}: line {lineno}: expected an arrival count "
+                                 f"in 0..{ell}, got {line.strip()!r}") from None
+            arrivals.append(a)
     return ell, make_requests(ell, arrivals)

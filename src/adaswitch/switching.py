@@ -400,9 +400,9 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     (observed request, predicted suffix) is recomputed whenever the
     prediction misses; while it matches, continuing the cached plan realizes
     the same value as re-solving every period, since any suffix of an
-    optimal plan stays optimal along the predicted path.  An oracle with
-    ties (the k-server flow) may pick a different, equally good plan when
-    re-solved, so after a later miss the two can diverge.
+    optimal plan stays optimal along the predicted path.  The k-server
+    flow, which plans non-uniform metrics, may pick a different, equally
+    good plan when re-solved, so after a later miss the two can diverge.
     """
     if offline_oracle.gamma != 1.0:
         raise ConfigurationError("run_adaswitch_exact needs an exact offline oracle")

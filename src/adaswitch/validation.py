@@ -483,7 +483,8 @@ def prop_adaswitch_oltq_bounds(scale: float = 1.0, seed: int = 206,
 
 def prop_kserver_offline_exactness(scale: float = 1.0, seed: int = 301,
                                    trials: int = 60) -> PropertyResult:
-    """The flow reduction reproduces the exhaustive optimum."""
+    """The exact solver (Belady on uniform metrics, the flow elsewhere)
+    reproduces the exhaustive optimum."""
     rng = random.Random(seed)
     for trial in range(_scaled(trials, scale)):
         metric, initial, requests = random_kserver_instance(rng)
@@ -650,10 +651,10 @@ def prop_kserver_constants(scale: float = 1.0, seed: int = 306,
 
 def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
                                       trials: int = 40) -> PropertyResult:
-    """The oracle's window monitor and whole-window value equal the flow
-    optimum on every prefix: exactly on uniform metrics (empty requests
-    included), within 1e-9 on general metrics, and also where the oracle
-    falls back to re-solving the flow (k = 7)."""
+    """The oracle's window monitor and whole-window value equal the exact
+    solver's optimum on every prefix: exactly on uniform metrics (empty
+    requests included), within 1e-9 on general metrics, and also where the
+    oracle falls back to re-solving (k = 7)."""
     name = "kserver/monitor-matches-flow"
     rng = random.Random(seed)
     cases = []  # (metric, positions, window, tolerance, expect the fallback)
@@ -680,12 +681,46 @@ def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
         for m in range(1, len(window) + 1):
             watched = monitor.append(m, window[m - 1])
             whole = oracle.value(sim.clone(), 1, window[:m])
-            flow, _ = ks.offline_kserver(metric, positions, window[:m])
-            if abs(watched - flow) > tol or abs(whole - flow) > tol:
+            exact, _ = ks.offline_kserver(metric, positions, window[:m])
+            if abs(watched - exact) > tol or abs(whole - exact) > tol:
                 return PropertyResult(
                     name, False,
                     f"dist={metric.dist} S={positions} window={window[:m]} "
-                    f"monitor={watched!r} value={whole!r} flow={flow!r}")
+                    f"monitor={watched!r} value={whole!r} exact={exact!r}")
+    return PropertyResult(name, True)
+
+
+def prop_kserver_belady_matches_flow(scale: float = 1.0, seed: int = 308,
+                                     trials: int = 120) -> PropertyResult:
+    """On uniform metrics Belady's plan costs what the min-cost flow's plan
+    costs, and replaying it gives that cost: windows of up to 150 periods
+    with empty requests, k = 1..4, duplicate start points, and starts
+    conditioned by a random served prefix."""
+    name = "kserver/belady-matches-flow"
+    rng = random.Random(seed)
+    for trial in range(_scaled(trials, scale)):
+        metric = ks.MetricSpace.uniform([f"p{i}" for i in range(rng.randint(2, 8))])
+        initial = ks.ServerConfig(tuple(rng.choice(metric.points)
+                                        for _ in range(rng.randint(1, 4))))
+        problem = ks.problem_instance(metric, initial)
+        sim = problem.new_simulator()
+        prefix = Trajectory()
+        for t in range(1, rng.randint(0, 4) + 1):
+            e = rng.choice(metric.points)
+            a = rng.randint(1, initial.k)
+            prefix = prefix.extended(e, a, sim.step(t, e, a))
+        empty = rng.choice((0.0, 0.2))
+        window = [ks.BOT if rng.random() < empty else rng.choice(metric.points)
+                  for _ in range(rng.randint(0, 150))]
+        cost, plan = ks.offline_kserver(metric, sim.positions, window, prefix.m + 1)
+        replayed = evaluate_trajectory(problem, window, plan, from_prefix=prefix)
+        flow = evaluate_trajectory(problem, window,
+                                   ks._flow_plan(metric, sim.positions, window),
+                                   from_prefix=prefix)
+        if not cost == replayed == flow:
+            return PropertyResult(
+                name, False, f"points={metric.points} S={sim.positions} "
+                f"window={window} belady={cost} replayed={replayed} flow={flow}")
     return PropertyResult(name, True)
 
 
@@ -1145,12 +1180,8 @@ class _ReplanEveryPeriod(OfflineOracle):
 def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
                                     trials: int = 24) -> PropertyResult:
     """Following a cached plan while the prediction matches equals
-    re-solving every predictive period.  Lead-time and ORRA runs with noisy
-    predictions give the same value, epochs and actions.  The k-server flow
-    breaks ties differently when re-solved from a later state, so caching
-    runs use perfect predictions and compare value and epochs only: the
-    actions may differ among equally cheap plans, and after a miss such a
-    difference can change what the run realizes."""
+    re-solving every predictive period: lead-time, caching and ORRA runs
+    with noisy predictions give the same value, epochs and actions."""
     name = "adaswitch/cached-plan-matches-replan"
     rng = random.Random(seed)
     replanned = 0
@@ -1168,7 +1199,10 @@ def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
         elif app == "caching":
             metric = ks.MetricSpace.uniform([f"p{j}" for j in range(rng.randint(3, 5))])
             problem = ks.problem_instance(metric, ks.ServerConfig(metric.points[:2]))
-            reqs = pred = ks.make_requests([rng.choice(metric.points) for _ in range(T)])
+            points = [rng.choice(metric.points) for _ in range(T)]
+            noisy = [e if rng.random() > noise else rng.choice(metric.points)
+                     for e in points]
+            reqs, pred = ks.make_requests(points), ks.make_requests(noisy)
             offline, online = ks.KserverOfflineOracle(metric), ks.MarkingOracle(metric, 2)
         else:
             params = orra.OrraParams(rng.randint(2, 3), 2)
@@ -1186,8 +1220,7 @@ def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
         runs = []
         for oracle in (offline, _ReplanEveryPeriod(offline)):
             report = run_adaswitch_exact(problem, reqs, pred, oracle, online, config)
-            actions = report.trajectory.actions if app != "caching" else None
-            runs.append((report.val, report.epochs, actions))
+            runs.append((report.val, report.epochs, report.trajectory.actions))
         if runs[0] != runs[1]:
             return PropertyResult(
                 name, False,
@@ -1225,6 +1258,7 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_kserver_prefix_equivalence,
         prop_kserver_constants,
         prop_kserver_monitor_matches_flow,
+        prop_kserver_belady_matches_flow,
     ],
     "orra": [
         prop_orra_dp_exactness,

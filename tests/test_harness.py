@@ -263,10 +263,13 @@ algorithm.mc_cap 30
         (kserver.read_metric, "2 5\na\nb\nuniform\n", 1),
         (kserver.read_metric, "2 0\na\nb\nuniform\n", 1),
         (kserver.read_metric, "-1 1\nuniform\n", 1),
+        (oltq.read_instance, "2 2\n1\n5\n", 3),
+        (kserver.read_metric, "2 1\na\na\nuniform\n", 3),
     ], ids=["oltq-header-field", "orra-header-short", "orra-short-bitstring",
             "metric-header-short", "metric-header-field", "metric-distance-field",
             "oltq-negative-T", "oltq-zero-ell", "orra-negative-T", "orra-zero-n",
-            "orra-zero-d", "metric-k-above-n", "metric-zero-k", "metric-negative-n"])
+            "orra-zero-d", "metric-k-above-n", "metric-zero-k", "metric-negative-n",
+            "oltq-arrival-above-ell", "metric-duplicate-point"])
     def test_malformed_file_names_path_and_line(self, tmp_path, read, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)

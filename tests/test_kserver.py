@@ -1,4 +1,4 @@
-"""k-server and caching: metric, flow oracle, work function, marking."""
+"""k-server and caching: metric, offline solvers, work function, marking."""
 
 import math
 import random
@@ -11,6 +11,7 @@ from adaswitch.kserver import BOT
 from adaswitch.switching import ResolveMonitor
 from adaswitch.validation import (
     prop_config_distance_metric,
+    prop_kserver_belady_matches_flow,
     prop_kserver_constants,
     prop_kserver_monitor_matches_flow,
     prop_kserver_offline_exactness,
@@ -79,8 +80,17 @@ class TestOfflineFlow:
         cost, _ = ks.offline_kserver(LINE, ["p0", "p1"], ["p1", "p0", "p1"])
         assert cost == 0.0
 
+    def test_belady_moves_the_duplicate_start_first(self):
+        m = ks.MetricSpace.uniform(["a", "b", "c"])
+        cost, actions = ks.offline_kserver(m, ["a", "a", "b"], ["c", BOT, "a", "b"])
+        assert (cost, actions) == (1.0, [2, 1, 1, 3])
+
     def test_exactness_property(self):
         assert prop_kserver_offline_exactness().ok
+
+    def test_belady_matches_flow_property(self):
+        result = prop_kserver_belady_matches_flow()
+        assert result.ok, result.detail
 
     def test_prefix_equivalence_property(self):
         assert prop_kserver_prefix_equivalence().ok
