@@ -6,10 +6,11 @@ live in [0, 1] so L = 1 and the objective is minimization.  The exact
 offline solver plans a uniform metric (caching) with Belady's
 farthest-in-future rule in O(W k), and any other metric by reducing the
 window to a minimum-cost maximum-flow over server-to-request chains; the
-switching runner needs a plan only when it replans.  Window values (the
-conservative monitor and the whole-horizon optimum) come from the work
-function instead, one table layer per request, with the exact solver as the
-fallback where the work function would cost more.
+switching runner needs a plan only when it replans.  The conservative
+monitor, and the whole-horizon optimum on non-uniform metrics, come from
+the work function instead, one table layer per request, with the exact
+solver as the fallback where the work function would cost more; Belady
+gives the whole-horizon optimum of a uniform metric directly.
 Two online policies are provided: the work function algorithm for general
 metrics and the randomized marking rule for the uniform metric, both
 restartable from any mid-stream configuration because a conditioned
@@ -374,8 +375,10 @@ def _flow_plan(metric: MetricSpace, positions: Sequence[str],
 
 class KserverOfflineOracle(OfflineOracle):
     """Plans from :func:`offline_kserver` (Belady on uniform metrics, the
-    flow elsewhere); window values from the work function where it is
-    cheaper (see :class:`WorkFunctionMonitor`), from re-solving elsewhere."""
+    flow elsewhere).  Whole-window values come from Belady on uniform
+    metrics; the window monitor, and whole-window values on other metrics,
+    come from the work function where it is cheaper (see
+    :class:`WorkFunctionMonitor`), from re-solving elsewhere."""
 
     gamma = 1.0
 
@@ -397,7 +400,7 @@ class KserverOfflineOracle(OfflineOracle):
         return super().monitor(sim, t0)
 
     def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
-        if not self._work_function_fits(len(sim.positions)):
+        if self.metric.uniform_flag or not self._work_function_fits(len(sim.positions)):
             return super().value(sim, t0, window)
         monitor = WorkFunctionMonitor(self.metric, sim.positions)
         for i, e in enumerate(window):

@@ -9,9 +9,10 @@ of the same slot earn nothing.  Requests are arrival counts in
 
 The exact offline scheduler sweeps slots in increasing order and always
 serves the freshest pending order (the one with the highest remaining
-revenue); the online policy quotes only the fraction of each period's
-arrivals whose revenue clears a threshold tied to the policy's
-competitive ratio.
+revenue), so a switching run repairs its plan after a prediction miss in
+O(ell) instead of re-solving the rest of the horizon; the online policy
+quotes only the fraction of each period's arrivals whose revenue clears a
+threshold tied to the policy's competitive ratio.
 """
 
 from __future__ import annotations
@@ -103,32 +104,34 @@ class OltqSimulator(Simulator):
         self.claims = dict(claims) if claims else {}
 
     def step(self, t: int, request: int, action: Any) -> float:
-        _validate_oltq_action(self.ell, t, request, action)
         claims = self.claims
-        for i in range(min(len(action), request)):
-            slot = action[i]
-            if slot is not DECLINE and not math.isinf(slot):
-                slot = int(slot)
-                if slot not in claims:
-                    claims[slot] = t + self.ell - slot
+        for slot in _validate_oltq_action(self.ell, t, request, action):
+            if slot not in claims:
+                claims[slot] = t + self.ell - slot
         return float(claims.get(t, 0))
 
     def clone(self) -> "OltqSimulator":
         return OltqSimulator(self.ell, self.claims)
 
 
-def _validate_oltq_action(ell: int, t: int, request: int, action: Any) -> None:
+def _validate_oltq_action(ell: int, t: int, request: int, action: Any) -> list[int]:
+    """Check the first ``request`` entries of ``action`` and return the
+    periods of the slots they quote, in order, declines left out."""
     if not isinstance(action, (tuple, list)):
         raise InvalidActionError(t, action, "expected a slot vector")
+    slots = []
     for i in range(min(len(action), request)):
         slot = action[i]
         if slot is DECLINE or (isinstance(slot, float) and math.isinf(slot)):
             continue
-        if not isinstance(slot, (int, float)) or slot != int(slot):
+        if not isinstance(slot, (int, float)) or math.isnan(slot) or slot != int(slot):
             raise InvalidActionError(t, action, f"slot {slot!r} is not a period")
-        if not t <= int(slot) <= t + ell - 1:
+        period = int(slot)
+        if not t <= period <= t + ell - 1:
             raise InvalidActionError(
                 t, action, f"slot {slot} outside {{{t}..{t + ell - 1}, inf}}")
+        slots.append(period)
+    return slots
 
 
 def oltq_reward(ell: int, requests: Sequence[int], actions: Sequence[Any],
@@ -266,12 +269,29 @@ class OhrrMonitor(WindowMonitor):
 
 
 class OhrrOracle(OfflineOracle):
-    """Exact (gamma = 1) offline oracle built on the greedy sweep."""
+    """Exact (gamma = 1) offline oracle built on the greedy sweep.
+
+    The sweep serves the freshest order first, so later periods' slots do
+    not depend on period ``t``: after a miss at ``t`` a re-solve keeps them
+    and gives ``t`` the first slots of ``[t, t + ell - 1]`` in the plan
+    that are neither claimed nor planned later.  ``repair`` does that in
+    O(ell).
+    """
 
     gamma = 1.0
 
     def solve(self, sim: Simulator, t0: int, window: Sequence[Any]) -> tuple[float, list]:
         return ohrr_star(sim, t0, window)
+
+    def repair(self, sim: Simulator, t: int, request: int, plan: Any) -> tuple:
+        end = min(t + sim.ell, plan.last() + 1)
+        planned = set()
+        for u in range(t + 1, end):
+            planned.update(plan.action_at(u))
+        free = [u for u in range(t, end) if u not in sim.claims and u not in planned]
+        e = int(request)
+        served = tuple(free[:e])
+        return served + (DECLINE,) * (e - len(served))
 
     def monitor(self, sim: Simulator, t0: int) -> WindowMonitor:
         return OhrrMonitor(sim, t0)

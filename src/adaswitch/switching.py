@@ -209,7 +209,7 @@ class OfflineOracle:
     absolute period ``t0``; ``gamma`` is its approximation guarantee
     (1.0 for exact oracles).  ``value`` is the same value without the plan,
     for oracles that can compute it more cheaply.  The simulator passed in
-    may be consumed.
+    may be consumed, except by ``repair``.
     """
 
     gamma: float = 1.0
@@ -219,6 +219,13 @@ class OfflineOracle:
 
     def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
         return self.solve(sim, t0, window)[0]
+
+    def repair(self, sim: Simulator, t: int, request: Any, plan: "_Plan") -> Any:
+        """Period ``t``'s new action after ``request`` missed the plan's
+        prediction, or None to re-solve.  Asked only of a plan followed
+        since it was made that covers ``t`` and ends where a re-solve
+        would; its other periods are kept."""
+        return None
 
     def monitor(self, sim: Simulator, t0: int) -> WindowMonitor:
         return ResolveMonitor(self, sim, t0)
@@ -301,6 +308,9 @@ class _Plan:
 
     def action_at(self, t: int) -> Any:
         return self.actions[t - self.start]
+
+    def last(self) -> int:
+        return self.start + len(self.actions) - 1
 
 
 def _first_action(problem: ProblemInstance, t: int, e: Any) -> Any:
@@ -396,8 +406,8 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     flavor differs only in its thresholds and in the offline solver
     minimizing.
     The conservative signal is the oracle's window monitor.  In the
-    predictive state the plan against
-    (observed request, predicted suffix) is recomputed whenever the
+    predictive state the plan against (observed request, predicted suffix)
+    is repaired, or re-solved where the oracle cannot repair, whenever the
     prediction misses; while it matches, continuing the cached plan realizes
     the same value as re-solving every period, since any suffix of an
     optimal plan stays optimal along the predicted path.  The k-server
@@ -490,8 +500,16 @@ def _run_switching(problem: ProblemInstance, requests: RequestSequence,
             if exact:
                 if plan is None or not plan.covers(t) or e != e_pred:
                     hp = max(problem.estimate_m(t, prediction), t)
-                    window = [e] + prediction.window(t + 1, hp)
-                    plan = _Plan(t, offline_oracle.solve(sim.clone(), t, window)[1])
+                    # The plan is reset at every switch, so one that covers
+                    # t has been followed since it was made.
+                    fix = None
+                    if plan is not None and plan.covers(t) and plan.last() == hp:
+                        fix = offline_oracle.repair(sim, t, e, plan)
+                    if fix is None:
+                        window = [e] + prediction.window(t + 1, hp)
+                        plan = _Plan(t, offline_oracle.solve(sim.clone(), t, window)[1])
+                    else:
+                        plan.actions[t - plan.start] = fix
             elif t == tau_p:
                 # A new batch starts: grow it one predicted period at a time.
                 hp = max(problem.estimate_m(t, prediction), t)

@@ -477,6 +477,46 @@ def prop_adaswitch_oltq_bounds(scale: float = 1.0, seed: int = 206,
     return PropertyResult("oltq/adaswitch-per-run-bounds", True)
 
 
+def prop_ohrr_repair_matches_resolve(scale: float = 1.0, seed: int = 208,
+                                     trials: int = 200) -> PropertyResult:
+    """After a miss inside a followed plan, the oracle's repair gives the
+    missed period the action a full re-solve from it gives, and the
+    re-solve keeps the plan's later periods: ell in {1, 2, 3, 5, 10, 20},
+    random claimed prefixes, misses at random positions, one after another
+    in the same plan."""
+    name = "oltq/repair-matches-resolve"
+    rng = random.Random(seed)
+    oracle = oltq.OhrrOracle()
+    repairs = 0
+    for trial in range(_scaled(trials, scale)):
+        ell = rng.choice((1, 2, 3, 5, 10, 20))
+        problem = oltq.problem_instance(ell)
+        prefix = random_oltq_prefix(rng, problem, ell, rng.randint(0, ell))
+        sim = problem.new_simulator(prefix)
+        t0 = prefix.m + 1
+        window = [rng.randint(0, ell) for _ in range(rng.randint(1, 3 * ell + 5))]
+        plan = switching._Plan(t0, oltq.ohrr_star(sim.clone(), t0, window)[1])
+        for i, predicted in enumerate(window):
+            t = t0 + i
+            e = predicted
+            if rng.random() < 0.3:
+                e = rng.choice([x for x in range(ell + 1) if x != predicted])
+                fix = oracle.repair(sim, t, e, plan)
+                _, resolved = oltq.ohrr_star(sim.clone(), t, [e] + window[i + 1:])
+                if fix != resolved[0] or plan.actions[i + 1:] != resolved[1:]:
+                    return PropertyResult(
+                        name, False,
+                        f"ell={ell} claims={sim.claims} t0={t0} window={window} "
+                        f"miss t={t} e={e} plan={plan.actions} repaired={fix!r} "
+                        f"resolved={resolved}")
+                plan.actions[i] = fix
+                repairs += 1
+            sim.step(t, e, plan.action_at(t))
+    if not repairs:
+        return PropertyResult(name, False, "no miss was drawn")
+    return PropertyResult(name, True)
+
+
 # ---------------------------------------------------------------------------
 # kserver suite
 
@@ -654,7 +694,9 @@ def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
     """The oracle's window monitor and whole-window value equal the exact
     solver's optimum on every prefix: exactly on uniform metrics (empty
     requests included), within 1e-9 on general metrics, and also where the
-    oracle falls back to re-solving (k = 7)."""
+    oracle falls back to re-solving (k = 7).  On uniform metrics the value
+    comes from Belady, so it must also equal the work-function minimum
+    exactly wherever the monitor is the work function."""
     name = "kserver/monitor-matches-flow"
     rng = random.Random(seed)
     cases = []  # (metric, positions, window, tolerance, expect the fallback)
@@ -678,11 +720,15 @@ def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
             return PropertyResult(
                 name, False, f"k={len(positions)} n={len(metric.points)}: got "
                 f"{type(monitor).__name__}, fallback expected={fallback}")
+        # The uniform value comes from Belady, as does exact: hold it to the
+        # work function too.
+        uniform_wf = metric.uniform_flag and isinstance(monitor, ks.WorkFunctionMonitor)
         for m in range(1, len(window) + 1):
             watched = monitor.append(m, window[m - 1])
             whole = oracle.value(sim.clone(), 1, window[:m])
             exact, _ = ks.offline_kserver(metric, positions, window[:m])
-            if abs(watched - exact) > tol or abs(whole - exact) > tol:
+            if (abs(watched - exact) > tol or abs(whole - exact) > tol
+                    or (uniform_wf and whole != watched)):
                 return PropertyResult(
                     name, False,
                     f"dist={metric.dist} S={positions} window={window[:m]} "
@@ -1159,8 +1205,10 @@ def prop_step_values_within_reward_bound(scale: float = 1.0, seed: int = 506,
 
 class _ReplanEveryPeriod(OfflineOracle):
     """Exact oracle whose plans are cut to their first action, so the exact
-    runner re-solves at every predictive period instead of following a
-    cached plan.  Window values and monitors come from the wrapped oracle."""
+    runner re-solves at every predictive period instead of following or
+    repairing a cached plan; it keeps the base class's ``repair``, which
+    never repairs.  Window values and monitors come from the wrapped
+    oracle."""
 
     def __init__(self, inner: OfflineOracle):
         self.inner = inner
@@ -1177,25 +1225,36 @@ class _ReplanEveryPeriod(OfflineOracle):
         return self.inner.monitor(sim, t0)
 
 
+class _CountedRepairs(oltq.OhrrOracle):
+    """The lead-time oracle, counting the repairs it makes."""
+
+    repairs = 0
+
+    def repair(self, sim, t, request, plan):
+        self.repairs += 1
+        return super().repair(sim, t, request, plan)
+
+
 def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
                                     trials: int = 24) -> PropertyResult:
-    """Following a cached plan while the prediction matches equals
-    re-solving every predictive period: lead-time, caching and ORRA runs
-    with noisy predictions give the same value, epochs and actions."""
+    """Following a cached plan while the prediction matches, and repairing
+    it after a miss, equals re-solving every predictive period: lead-time
+    (ell 2-10, where repairs must fire), caching and ORRA runs with noisy
+    predictions give the same value, epochs and actions."""
     name = "adaswitch/cached-plan-matches-replan"
     rng = random.Random(seed)
-    replanned = 0
+    replanned = repairs = 0
     for trial in range(_scaled(trials, scale)):
         app = ("oltq", "caching", "orra")[trial % 3]
         T = rng.randint(40, 90)
         noise = rng.uniform(0.0, 0.3)
         if app == "oltq":
-            ell = rng.randint(2, 3)
+            ell = rng.randint(2, 10)
             problem = oltq.problem_instance(ell)
             arrivals = [rng.randint(0, ell) for _ in range(T)]
             noisy = [a if rng.random() > noise else rng.randint(0, ell) for a in arrivals]
             reqs, pred = oltq.make_requests(ell, arrivals), oltq.make_requests(ell, noisy)
-            offline, online = oltq.OhrrOracle(), oltq.QFracStarOracle(ell)
+            offline, online = _CountedRepairs(), oltq.QFracStarOracle(ell)
         elif app == "caching":
             metric = ks.MetricSpace.uniform([f"p{j}" for j in range(rng.randint(3, 5))])
             problem = ks.problem_instance(metric, ks.ServerConfig(metric.points[:2]))
@@ -1228,8 +1287,11 @@ def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
                 f"epsilon={config.epsilon} seed={config.seed} cached={runs[0][:2]} "
                 f"replanned={runs[1][:2]}")
         replanned += len(runs[0][1]) > 1
+        repairs += getattr(offline, "repairs", 0)
     if not replanned:
         return PropertyResult(name, False, "no run reached the predictive state")
+    if not repairs:
+        return PropertyResult(name, False, "no lead-time run repaired its plan")
     return PropertyResult(name, True)
 
 
@@ -1249,6 +1311,7 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_alpha_gamma,
         prop_oltq_constants,
         prop_adaswitch_oltq_bounds,
+        prop_ohrr_repair_matches_resolve,
     ],
     "kserver": [
         prop_kserver_offline_exactness,

@@ -1,5 +1,7 @@
 """Core framework: evaluation, exhaustive optimum, distances, estimators."""
 
+import math
+
 import pytest
 
 from adaswitch import (
@@ -84,13 +86,14 @@ class TestSimulatorStep:
     @pytest.mark.parametrize("problem, request_, action", [
         (oltq.problem_instance(2), 0, None),
         (oltq.problem_instance(2), 1, (5,)),
+        (oltq.problem_instance(2), 1, (math.nan,)),
         (ks.problem_instance(ks.MetricSpace.uniform(["a", "b"]),
                              ks.ServerConfig(("a",))), None, 7),
         (ks.problem_instance(ks.MetricSpace.uniform(["a", "b"]),
                              ks.ServerConfig(("a",))), "b", 7),
         (orra.problem_instance(orra.OrraParams(1, 2)), (0,), 5),
         (orra.problem_instance(orra.OrraParams(1, 2)), (1,), 5),
-    ], ids=["oltq-empty", "oltq", "kserver-empty", "kserver", "orra-empty", "orra"])
+    ], ids=["oltq-empty", "oltq", "oltq-nan", "kserver-empty", "kserver", "orra-empty", "orra"])
     def test_step_rejects_what_check_action_rejects(self, problem, request_, action):
         with pytest.raises(InvalidActionError, match="period 1"):
             problem.check_action(1, request_, action)

@@ -7,10 +7,12 @@ import pytest
 
 from adaswitch import oltq
 from adaswitch.oltq import DECLINE
+from adaswitch.switching import AdaSwitchConfig, run_adaswitch_exact
 from adaswitch.validation import (
     prop_adaswitch_oltq_bounds,
     prop_alpha_gamma,
     prop_ohrr_exactness,
+    prop_ohrr_repair_matches_resolve,
     prop_oltq_constants,
     prop_qfrac_quota_matches_fraction,
     prop_qfrac_robustness,
@@ -98,6 +100,22 @@ class TestOhrrStar:
 
     def test_exactness_property(self):
         assert prop_ohrr_exactness().ok
+
+    def test_repair_matches_resolve_property(self):
+        result = prop_ohrr_repair_matches_resolve()
+        assert result.ok, result.detail
+
+    def test_miss_past_the_plans_end_re_solves(self):
+        # The plan made in the predictive phase ends at 62, the predicted
+        # support's end plus ell - 1.  The unpredicted orders of period 61
+        # find slots 61 and 62 taken, and a re-solve, which runs to 63,
+        # serves one of them in slot 63; a repair within the plan could not.
+        problem = oltq.problem_instance(3)
+        report = run_adaswitch_exact(
+            problem, oltq.make_requests(3, [3] * 61), oltq.make_requests(3, [3] * 60),
+            oltq.OhrrOracle(), oltq.QFracStarOracle(3), AdaSwitchConfig(0.4, 1.0, 1.0))
+        assert report.epochs == ((1, "conservative"), (26, "predictive"))
+        assert report.trajectory.actions[60] == (63, DECLINE, DECLINE)
 
     def test_freshest_first_beats_fifo(self):
         # Served orders are always the newest pending ones.
