@@ -4,8 +4,11 @@ CSV/SVG report emission.
 A sweep evaluates a list of algorithms over a grid (robustness guarantees,
 horizons, or error rates) with several seeds per point and records one row
 per (algorithm, grid point, seed) from the run's report, whose hindsight
-optimum comes from the application's offline oracle.  Rows are plain dicts
-with a fixed column schema so the CSV round-trips exactly.
+optimum comes from the application's offline oracle.  One record per
+application names the spec and algorithm keys it reads with the type each
+value is cast to at parse, the report builder, and the bound a row reports.
+Rows are plain dicts with a fixed column schema so the CSV round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import kserver as ks
 from . import oltq
@@ -100,39 +103,34 @@ def gen_pattern(model: str, p_err: float, ell: int, T: int,
 # Experiment specification
 
 
-# Keys each application's instance builder reads, beyond the fields
-# parse_spec fills in itself: spec parameters and algorithm parameters.
-SPEC_PARAM_KEYS = {
-    "oltq": frozenset(("ell", "T", "p", "p_err", "instance", "prediction_file")),
-    "kserver": frozenset(("metric", "instance", "prediction_file")),
-    "caching": frozenset(("metric", "instance", "prediction_file")),
-    "orra": frozenset(("instance", "prediction_file")),
-}
-ALGORITHM_PARAM_KEYS = {
-    "oltq": frozenset(("epsilon", "Z", "gamma")),
-    "kserver": frozenset(("epsilon",)),
-    "caching": frozenset(("epsilon",)),
-    "orra": frozenset(("epsilon", "alpha", "eta", "mc_cap")),
-}
+def _count(text: Any) -> int:
+    return int(float(text))
+
+
+def _parsed(cast: Callable[[Any], Any], text: Any, lineno: Any, key: str) -> Any:
+    """``cast(text)``, or a parse error naming the line and the key when that
+    fails or gives a float that is not finite."""
+    try:
+        value = cast(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError
+        return value
+    except (ValueError, OverflowError):
+        raise ValueError(f"line {lineno}: bad value {text!r} for {key!r}") from None
 
 
 @dataclass
 class AlgorithmSpec:
     name: str
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, Any] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # param key -> spec line
-
-    def get(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        if key in self.params:
-            return float(self.params[key])
-        return default
 
 
 @dataclass
 class ExperimentSpec:
     app: str = "oltq"
     generator: str = "geometric"
-    params: dict[str, str] = field(default_factory=dict)
+    params: dict[str, Any] = field(default_factory=dict)
     prediction: str = "perfect"
     sweep_axis: str = "robustness"
     grid: list[float] = field(default_factory=list)
@@ -140,28 +138,31 @@ class ExperimentSpec:
     algorithms: list[AlgorithmSpec] = field(default_factory=list)
     lines: dict[str, int] = field(default_factory=dict)  # param key -> spec line
 
-    def param(self, key: str, default=None, cast=float):
+    def param(self, key: str, default=None):
         if key in self.params:
-            return cast(self.params[key])
+            return self.params[key]
         if default is None:
             raise ValueError(f"experiment spec is missing parameter {key!r}")
         return default
 
     def validate(self) -> None:
-        if self.app not in SPEC_PARAM_KEYS:
+        """Check the spec and cast each parameter in place to its key's type;
+        casting a value already cast leaves it unchanged."""
+        app = _APPS.get(self.app)
+        if app is None:
             raise ValueError(f"unknown application {self.app!r}")
         if not self.grid:
             raise ValueError("sweep grid must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
-        owners = [(self, SPEC_PARAM_KEYS[self.app], "")]
-        owners += [(a, ALGORITHM_PARAM_KEYS[self.app], "algorithm.")
-                   for a in self.algorithms]
-        for owner, allowed, prefix in owners:
-            for key in owner.params:
-                if key not in allowed:
-                    raise ValueError(f"line {owner.lines.get(key, '?')}: unknown "
-                                     f"spec key {prefix + key!r}")
+        owners = [(self, app.spec_keys, "")]
+        owners += [(a, app.algorithm_keys, "algorithm.") for a in self.algorithms]
+        for owner, casts, prefix in owners:
+            for key, value in owner.params.items():
+                lineno = owner.lines.get(key, "?")
+                if key not in casts:
+                    raise ValueError(f"line {lineno}: unknown spec key {prefix + key!r}")
+                owner.params[key] = _parsed(casts[key], value, lineno, prefix + key)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -194,13 +195,10 @@ def parse_spec(text: str) -> ExperimentSpec:
         elif key == "sweep":
             spec.sweep_axis = rest
         elif key == "grid":
-            spec.grid = [float(x) for x in rest.split()]
+            spec.grid = [_parsed(float, x, lineno, key) for x in rest.split()]
         elif key == "seeds":
-            tokens = rest.split()
-            if len(tokens) == 1:
-                spec.seeds = list(range(int(tokens[0])))
-            else:
-                spec.seeds = [int(x) for x in tokens]
+            seeds = [_parsed(int, x, lineno, key) for x in rest.split()]
+            spec.seeds = list(range(seeds[0])) if len(seeds) == 1 else seeds
         else:
             spec.params[key] = rest
             spec.lines[key] = lineno
@@ -243,8 +241,8 @@ def parse_rows(text: str) -> list[dict]:
 
 def _oltq_instances(spec: ExperimentSpec, sweep_value: float, seed: int
                     ) -> tuple[int, RequestSequence, RequestSequence]:
-    ell = spec.param("ell", cast=lambda x: int(float(x)))
-    T = spec.param("T", cast=lambda x: int(float(x)))
+    ell = spec.param("ell")
+    T = spec.param("T")
     if spec.sweep_axis == "T":
         T = int(sweep_value)
     if spec.generator == "geometric":
@@ -277,15 +275,15 @@ def _oltq_report(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
         if spec.sweep_axis == "robustness":
             epsilon = eta - sweep_value
         else:
-            epsilon = algo.get("epsilon", 0.2)
+            epsilon = algo.params.get("epsilon", 0.2)
         return oltq.adaswitch_oltq(ell, reality, prediction, epsilon, seed=seed)
     if algo.name == "strengthened":
         if spec.sweep_axis == "robustness":
             gamma = sweep_value
         else:
-            gamma = algo.get("gamma", eta - algo.get("epsilon", 0.2))
+            gamma = algo.params.get("gamma", eta - algo.params.get("epsilon", 0.2))
         return oltq.strengthened_adaswitch_oltq(ell, reality, prediction, gamma,
-                                                Z=algo.get("Z", 4.0), seed=seed)
+                                                Z=algo.params.get("Z", 4.0), seed=seed)
     if algo.name == "qfrac":
         return oltq.run_qfrac_baseline(ell, reality, seed=seed)
     raise ValueError(f"unknown oltq algorithm {algo.name!r}")
@@ -301,7 +299,7 @@ def _kserver_report(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: floa
         prediction = ks.read_requests(spec.params["prediction_file"])
     initial = ks.ServerConfig(tuple(metric.points[:k]))
     variant = "caching" if spec.app == "caching" else "general"
-    epsilon = sweep_value if spec.sweep_axis == "epsilon" else algo.get("epsilon")
+    epsilon = sweep_value if spec.sweep_axis == "epsilon" else algo.params.get("epsilon")
     return ks.adaswitch_kse(metric, initial, reality, prediction,
                             epsilon=epsilon, variant=variant, seed=seed)
 
@@ -313,32 +311,40 @@ def _orra_report(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float,
         prediction = reality
     else:
         _, prediction = orra.read_instance(spec.params["prediction_file"])
-    epsilon = sweep_value if spec.sweep_axis == "epsilon" else algo.get("epsilon")
+    epsilon = sweep_value if spec.sweep_axis == "epsilon" else algo.params.get("epsilon")
     return orra.adaswitch_orra(params, reality, prediction, epsilon,
-                               alpha=algo.get("alpha", 3.0), seed=seed,
-                               eta_online=algo.get("eta", 0.589),
-                               monte_carlo_cap=int(algo.get("mc_cap", 200)))
+                               alpha=algo.params.get("alpha", 3.0), seed=seed,
+                               eta_online=algo.params.get("eta", 0.589),
+                               monte_carlo_cap=algo.params.get("mc_cap", 200))
 
 
-_REPORTS: dict[str, Callable[..., CompetitiveReport]] = {
-    "oltq": _oltq_report,
-    "kserver": _kserver_report,
-    "caching": _kserver_report,
-    "orra": _orra_report,
-}
+@dataclass(frozen=True)
+class _App:
+    """One application: the spec and algorithm keys its report builder reads
+    beyond parse_spec's own fields, each with its value's cast, the builder,
+    and the bound keys, of which a row reports the first the report carries."""
 
-# The bound a row reports: the first of these keys the report carries.
-_BOUND_KEYS = {
-    "oltq": ("T5",),
-    "kserver": ("T7", "T6"),
-    "caching": ("T7", "T6"),
-    "orra": ("T2",),
+    spec_keys: dict[str, Callable[[Any], Any]]
+    algorithm_keys: dict[str, Callable[[Any], Any]]
+    report: Callable[..., CompetitiveReport]
+    bound_keys: tuple[str, ...]
+
+
+_FILES = {"instance": str, "prediction_file": str}
+_KSERVER = _App({"metric": str, **_FILES}, {"epsilon": float}, _kserver_report, ("T7", "T6"))
+_APPS = {
+    "oltq": _App({"ell": _count, "T": _count, "p": float, "p_err": float, **_FILES},
+                 {"epsilon": float, "Z": float, "gamma": float}, _oltq_report, ("T5",)),
+    "kserver": _KSERVER,
+    "caching": _KSERVER,
+    "orra": _App(_FILES, {"epsilon": float, "alpha": float, "eta": float, "mc_cap": _count},
+                 _orra_report, ("T2",)),
 }
 
 
 def _row(spec: ExperimentSpec, algo: AlgorithmSpec, sweep_value: float, seed: int,
          report: CompetitiveReport) -> dict:
-    bound = next((report.bounds[k] for k in _BOUND_KEYS[spec.app]
+    bound = next((report.bounds[k] for k in _APPS[spec.app].bound_keys
                   if k in report.bounds), None)
     return {
         "app": spec.app, "algorithm": algo.name, "sweep_axis": spec.sweep_axis,
@@ -355,7 +361,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[dict], list[dict]]:
     run continues."""
     spec.validate()
     rows: list[dict] = []
-    report_of = _REPORTS[spec.app]
+    report_of = _APPS[spec.app].report
     for algo in spec.algorithms:
         for sweep_value in spec.grid:
             for seed in spec.seeds:

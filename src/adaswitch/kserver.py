@@ -5,12 +5,13 @@ one chosen server to the request and costs the moved distance; distances
 live in [0, 1] so L = 1 and the objective is minimization.  The exact
 offline solver plans a uniform metric (caching) with Belady's
 farthest-in-future rule in O(W k), and any other metric by reducing the
-window to a minimum-cost maximum-flow over server-to-request chains; the
-switching runner needs a plan only when it replans.  The conservative
-monitor, and the whole-horizon optimum on non-uniform metrics, come from
-the work function instead, one table layer per request, with the exact
-solver as the fallback where the work function would cost more; Belady
-gives the whole-horizon optimum of a uniform metric directly.
+window to a minimum-cost maximum-flow over server-to-request chains, kept
+as plain arc lists that the successive-shortest-path solver updates in
+place; the switching runner needs a plan only when it replans.  The
+conservative monitor, and the whole-horizon optimum on non-uniform
+metrics, come from the work function instead, one table layer per request,
+with the exact solver as the fallback where the work function would cost
+more; Belady gives the whole-horizon optimum of a uniform metric directly.
 Two online policies are provided: the work function algorithm for general
 metrics and the randomized marking rule for the uniform metric, both
 restartable from any mid-stream configuration because a conditioned
@@ -168,33 +169,15 @@ def problem_instance(metric: MetricSpace, initial: ServerConfig) -> ProblemInsta
 # maximum-flow over service chains on all others.
 
 
-class _FlowNetwork:
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-
-    def add(self, u: int, v: int, cap: int, cost: float) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return idx
-
-
-def _min_cost_flow(net: _FlowNetwork, source: int, sink: int, units: int) -> None:
-    """Successive shortest paths with potentials.  The network is acyclic in
+def _min_cost_flow(head: list[list[int]], to: list[int], cap: list[int],
+                   cost: list[float], source: int, sink: int, units: int) -> None:
+    """Successive shortest paths with potentials, pushing flow by updating
+    ``cap`` in place.  ``head[u]`` lists the arcs out of node ``u``; each
+    forward arc ``idx`` is even and ``idx ^ 1`` is its residual twin, the
+    reverse arc with capacity 0 and negated cost.  The network is acyclic in
     node order, so the initial potentials come from one topological pass;
     afterwards reduced costs stay nonnegative and Dijkstra applies."""
-    n = net.n
-    head, to, cap, cost = net.head, net.to, net.cap, net.cost
+    n = len(head)
     heappush, heappop = heapq.heappush, heapq.heappop
     INF = math.inf
     potential = [INF] * n
@@ -320,7 +303,19 @@ def _flow_plan(metric: MetricSpace, positions: Sequence[str],
     # node layout: 0 source | 1..k servers | then per request (in, out) | sink
     n_nodes = 1 + k + 2 * W + 1
     sink = n_nodes - 1
-    net = _FlowNetwork(n_nodes)
+    head: list[list[int]] = [[] for _ in range(n_nodes)]
+    to: list[int] = []
+    cap: list[int] = []
+    arc_cost: list[float] = []
+
+    def add(u: int, v: int, c: int, w: float) -> int:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to.extend((v, u))
+        cap.extend((c, 0))
+        arc_cost.extend((w, -w))
+        return len(to) - 2
+
     req_in = lambda j: 1 + k + 2 * j
     req_out = lambda j: 1 + k + 2 * j + 1
     # Movement costs come from rows of the distance matrix; requests are
@@ -328,18 +323,17 @@ def _flow_plan(metric: MetricSpace, positions: Sequence[str],
     dist, index = metric.dist, metric.index
     cols = [index[e] for _, e in reqs]
     for i in range(k):
-        net.add(0, 1 + i, 1, 0.0)
-        net.add(1 + i, sink, 1, 0.0)
+        add(0, 1 + i, 1, 0.0)
+        add(1 + i, sink, 1, 0.0)
         row = dist[index[positions[i]]]
         for j, col in enumerate(cols):
-            net.add(1 + i, req_in(j), 1, row[col])
-    head, to, cap, arc_cost = net.head, net.to, net.cap, net.cost
+            add(1 + i, req_in(j), 1, row[col])
     service_arcs = []
     for j, col in enumerate(cols):
-        service_arcs.append(net.add(req_in(j), req_out(j), 1, -bonus))
+        service_arcs.append(add(req_in(j), req_out(j), 1, -bonus))
         out = req_out(j)
-        net.add(out, sink, 1, 0.0)
-        # The O(W^2) chain arcs, with _FlowNetwork.add inlined.
+        add(out, sink, 1, 0.0)
+        # The O(W^2) chain arcs, with add inlined.
         row = dist[col]
         out_head = head[out]
         idx = len(to)
@@ -351,7 +345,7 @@ def _flow_plan(metric: MetricSpace, positions: Sequence[str],
             to += (v, out)
             cap += (1, 0)
             arc_cost += (d, -d)
-    _min_cost_flow(net, 0, sink, k)
+    _min_cost_flow(head, to, cap, arc_cost, 0, sink, k)
     if any(cap[idx] != 0 for idx in service_arcs):
         raise RuntimeError("internal error: some request left unserved")
     # Decode chains: follow saturated forward arcs from each server node.
@@ -741,9 +735,9 @@ def read_metric(path: str) -> tuple[MetricSpace, int]:
         points = []
         for lineno in range(2, n + 2):
             p = fh.readline().strip()
-            if p in points:
+            if not p or p in points:
                 raise ValueError(f"{path}: line {lineno}: expected a new point id, "
-                                 f"got duplicate {p!r}")
+                                 f"got {'duplicate ' if p else ''}{p!r}")
             points.append(p)
         pos = fh.tell()
         first = fh.readline().strip()
@@ -772,6 +766,13 @@ def write_requests(path: str, requests: RequestSequence) -> None:
 
 
 def read_requests(path: str) -> RequestSequence:
+    """One point id, or ``-`` for the empty request, per line; trailing blank
+    lines are ignored, a blank line before the last request is an error."""
     with open(path, encoding="ascii") as fh:
-        items = [line.strip() for line in fh if line.strip()]
+        items = [line.strip() for line in fh]
+    while items and not items[-1]:
+        items.pop()
+    if "" in items:
+        raise ValueError(f"{path}: line {items.index('') + 1}: expected a point id "
+                         f"or '-', got a blank line")
     return RequestSequence([BOT if x == "-" else x for x in items], null_request=BOT)

@@ -7,12 +7,15 @@ A slot can process one order; the first claimant of a slot earns
 of the same slot earn nothing.  Requests are arrival counts in
 ``{0, ..., ell}`` and the per-period value is bounded by ``L = ell``.
 
-The exact offline scheduler sweeps slots in increasing order and always
-serves the freshest pending order (the one with the highest remaining
-revenue), so a switching run repairs its plan after a prediction miss in
-O(ell) instead of re-solving the rest of the horizon; the online policy
-quotes only the fraction of each period's arrivals whose revenue clears a
-threshold tied to the policy's competitive ratio.
+The exact offline scheduler, ``OhrrMonitor``, sweeps slots in increasing
+order, one period per call, and always serves the freshest pending order
+(the one with the highest remaining revenue).  The conservative monitor
+reads its running value and ``ohrr_star`` drives it over a whole window to
+record the plan.  Because later orders are served first, a switching run
+repairs its plan after a prediction miss in O(ell) instead of re-solving
+the rest of the horizon.  The online policy quotes only the fraction of
+each period's arrivals whose revenue clears a threshold tied to the
+policy's competitive ratio.
 """
 
 from __future__ import annotations
@@ -187,48 +190,53 @@ def problem_instance(ell: int) -> ProblemInstance:
     )
 
 
-class _GreedySweep:
-    """Shared core of the offline scheduler: sweep slots left to right,
-    serve the freshest pending arrival, skip reserved slots, and credit
-    revenue already committed by the conditioning prefix.
+class OhrrMonitor(WindowMonitor):
+    """Exact window optimum conditioned on the simulator's committed slots,
+    one period at a time: sweep slots left to right, serve the freshest
+    pending arrival, and credit a slot the prefix already claimed with the
+    revenue committed there instead.
 
     Pending orders live on a stack ordered by arrival; the top is always
     the newest, so when the top has expired (arrival <= slot - ell) the
     whole stack has.
     """
 
-    def __init__(self, ell: int, reserved: dict[int, float]):
-        self.ell = ell
-        self.reserved = reserved  # slot -> prefix revenue realized there
+    def __init__(self, sim: OltqSimulator, t0: int):
+        self.ell = sim.ell
+        # Prefix actions can only reach slots in [t0, t0 + ell - 2].
+        self.reserved = {slot: float(sim.claims[slot])
+                         for slot in range(t0, t0 + sim.ell - 1) if slot in sim.claims}
         self.stack: list[list[int]] = []  # [arrival, remaining units]
         self.value = 0.0
-        self.assignments: dict[int, list[int]] = {}  # arrival -> slots served
+        self.t = t0 - 1
 
-    def push(self, t: int, count: int) -> None:
+    def sweep(self, t: int, count: int) -> Optional[int]:
+        """Push period ``t``'s ``count`` arrivals, sweep slot ``t`` and
+        return the arrival served there (None for a claimed or idle slot)."""
+        stack = self.stack
         if count > 0:
-            self.stack.append([t, count])
-
-    def sweep_slot(self, u: int) -> None:
-        if u in self.reserved:
-            self.value += self.reserved[u]
-            return
-        while self.stack and self.stack[-1][0] <= u - self.ell:
-            self.stack.clear()  # newest expired, so everything has
-        if not self.stack:
-            return
-        arrival, remaining = self.stack[-1]
-        self.value += arrival + self.ell - u
-        self.assignments.setdefault(arrival, []).append(u)
-        if remaining == 1:
-            self.stack.pop()
+            stack.append([t, count])
+        if t in self.reserved:
+            self.value += self.reserved[t]
+            return None
+        if stack and stack[-1][0] <= t - self.ell:
+            stack.clear()  # newest expired, so everything has
+        if not stack:
+            return None
+        top = stack[-1]
+        arrival = top[0]
+        self.value += arrival + self.ell - t
+        if top[1] == 1:
+            stack.pop()
         else:
-            self.stack[-1][1] = remaining - 1
+            top[1] -= 1
+        return arrival
 
-
-def _reserved_slots(sim: OltqSimulator, t0: int) -> dict[int, float]:
-    # Prefix actions can only reach slots in [t0, t0 + ell - 2].
-    return {slot: float(sim.claims[slot])
-            for slot in range(t0, t0 + sim.ell - 1) if slot in sim.claims}
+    def append(self, t: int, request: int) -> float:
+        self.t += 1
+        assert t == self.t, "monitor must be fed consecutive periods"
+        self.sweep(t, int(request))
+        return self.value
 
 
 def ohrr_star(sim: OltqSimulator, t0: int, window: Sequence[int]) -> tuple[float, list[tuple]]:
@@ -239,33 +247,17 @@ def ohrr_star(sim: OltqSimulator, t0: int, window: Sequence[int]) -> tuple[float
     committed inside the window) and one action vector per window period,
     ordered so equal-revenue orders of one period serve lowest index first.
     """
-    ell = sim.ell
-    sweep = _GreedySweep(ell, _reserved_slots(sim, t0))
-    for i, e in enumerate(window):
-        t = t0 + i
-        sweep.push(t, int(e))
-        sweep.sweep_slot(t)
+    monitor = OhrrMonitor(sim, t0)
+    served: dict[int, list[int]] = {}  # arrival -> slots served
+    for t, e in enumerate(window, start=t0):
+        arrival = monitor.sweep(t, int(e))
+        if arrival is not None:
+            served.setdefault(arrival, []).append(t)
     actions = []
-    for i, e in enumerate(window):
-        t = t0 + i
-        served = sweep.assignments.get(t, [])
-        actions.append(tuple(served) + (DECLINE,) * (int(e) - len(served)))
-    return sweep.value, actions
-
-
-class OhrrMonitor(WindowMonitor):
-    """Incremental window optimum: one stack operation per appended period."""
-
-    def __init__(self, sim: OltqSimulator, t0: int):
-        self.sweep = _GreedySweep(sim.ell, _reserved_slots(sim, t0))
-        self.t = t0 - 1
-
-    def append(self, t: int, request: int) -> float:
-        self.t += 1
-        assert t == self.t, "monitor must be fed consecutive periods"
-        self.sweep.push(t, int(request))
-        self.sweep.sweep_slot(t)
-        return self.sweep.value
+    for t, e in enumerate(window, start=t0):
+        slots = served.get(t, [])
+        actions.append(tuple(slots) + (DECLINE,) * (int(e) - len(slots)))
+    return monitor.value, actions
 
 
 class OhrrOracle(OfflineOracle):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from adaswitch import harness, kserver, oltq, orra
+from adaswitch import cli, harness, kserver, oltq, orra
 
 
 SMALL_SPEC = """
@@ -100,7 +100,7 @@ class TestSpecParsing:
     def test_algorithm_params_attach_to_block(self):
         spec = harness.parse_spec(SMALL_SPEC + "algorithm.name strengthened\n"
                                   "algorithm.Z 4\n")
-        assert spec.algorithms[-1].params == {"Z": "4"}
+        assert spec.algorithms[-1].params == {"Z": 4.0}
 
     def test_orphan_algorithm_param_rejected(self):
         with pytest.raises(ValueError, match="algorithm.name"):
@@ -118,6 +118,17 @@ class TestSpecParsing:
         lineno = len(text.splitlines())
         with pytest.raises(ValueError, match=f"line {lineno}: unknown spec key {key}"):
             harness.parse_spec(text)
+
+    @pytest.mark.parametrize("line", ["ell abc", "algorithm.epsilon x", "p nan",
+                                      "grid 0.2 x", "seeds 1 x"])
+    def test_bad_value_is_parse_error_with_line(self, tmp_path, line):
+        text = SMALL_SPEC + line + "\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"line {lineno}: bad value"):
+            harness.parse_spec(text)
+        path = tmp_path / "bad.spec"
+        path.write_text(text)
+        assert cli.main(["run", "--spec", str(path), "--out", str(tmp_path)]) == 1
 
     def test_shipped_and_benchmark_specs_parse(self, tmp_path, monkeypatch):
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -265,11 +276,14 @@ algorithm.mc_cap 30
         (kserver.read_metric, "-1 1\nuniform\n", 1),
         (oltq.read_instance, "2 2\n1\n5\n", 3),
         (kserver.read_metric, "2 1\na\na\nuniform\n", 3),
+        (kserver.read_requests, "a\n\nb\n\n", 2),
+        (kserver.read_metric, "2 1\na\n", 3),
     ], ids=["oltq-header-field", "orra-header-short", "orra-short-bitstring",
             "metric-header-short", "metric-header-field", "metric-distance-field",
             "oltq-negative-T", "oltq-zero-ell", "orra-negative-T", "orra-zero-n",
             "orra-zero-d", "metric-k-above-n", "metric-zero-k", "metric-negative-n",
-            "oltq-arrival-above-ell", "metric-duplicate-point"])
+            "oltq-arrival-above-ell", "metric-duplicate-point",
+            "requests-interior-blank", "metric-ends-in-points"])
     def test_malformed_file_names_path_and_line(self, tmp_path, read, text, line):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -294,3 +294,6 @@ class TestFiles:
         ks.write_requests(str(path), reqs)
         back = ks.read_requests(str(path))
         assert back.at(1) == "a" and back.at(2) is BOT and back.at(3) == "b"
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\n \n")  # trailing blank lines are ignored
+        assert ks.read_requests(str(path)).items == back.items
