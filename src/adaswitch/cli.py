@@ -49,6 +49,9 @@ def _seconds(text: str) -> float:
 
 def cmd_run(spec_path: str, out_dir: str, seeds: int | None = None,
             seed_base: int | None = None, fmt: str = "both") -> int:
+    if seeds is not None and seeds < 1:
+        print(f"error: --seeds {seeds} selects no seed", file=sys.stderr)
+        return 1
     try:
         with open(spec_path, encoding="utf-8") as fh:
             spec = harness.parse_spec(fh.read())

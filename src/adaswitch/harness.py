@@ -104,7 +104,10 @@ def gen_pattern(model: str, p_err: float, ell: int, T: int,
 
 
 def _count(text: Any) -> int:
-    return int(float(text))
+    value = float(text)  # so that T 1e4 reads as 10000
+    if not value.is_integer():
+        raise ValueError
+    return int(value)
 
 
 def _parsed(cast: Callable[[Any], Any], text: Any, lineno: Any, key: str) -> Any:
@@ -199,6 +202,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         elif key == "seeds":
             seeds = [_parsed(int, x, lineno, key) for x in rest.split()]
             spec.seeds = list(range(seeds[0])) if len(seeds) == 1 else seeds
+            if not spec.seeds:
+                raise ValueError(f"line {lineno}: seeds {rest!r} select no seed")
         else:
             spec.params[key] = rest
             spec.lines[key] = lineno

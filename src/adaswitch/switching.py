@@ -139,6 +139,9 @@ def validate_config(config: AdaSwitchConfig, objective: str, kind: str,
         raise ConfigurationError("regret-based switching requires the exact offline oracle")
     if config.switching_mode == REGRET_BASED and objective != MAXIMIZE:
         raise ConfigurationError("regret-based switching is defined for the reward objective")
+    if config.monte_carlo_cap < 1:
+        raise ConfigurationError(
+            f"monte_carlo_cap must be at least 1, got {config.monte_carlo_cap}")
     # Every comparison below is false on NaN, so non-finite values would pass.
     for name in ("epsilon", "b", "c", "alpha"):
         value = getattr(config, name)
@@ -408,11 +411,12 @@ def run_adaswitch_exact(problem: ProblemInstance, requests: RequestSequence,
     The conservative signal is the oracle's window monitor.  In the
     predictive state the plan against (observed request, predicted suffix)
     is repaired, or re-solved where the oracle cannot repair, whenever the
-    prediction misses; while it matches, continuing the cached plan realizes
-    the same value as re-solving every period, since any suffix of an
-    optimal plan stays optimal along the predicted path.  The k-server
-    flow, which plans non-uniform metrics, may pick a different, equally
-    good plan when re-solved, so after a later miss the two can diverge.
+    prediction misses, and followed while it matches, since any suffix of an
+    optimal plan stays optimal along the predicted path.  On lead-time,
+    uniform caching and ORRA runs this equals re-solving every period, as
+    ``validation.prop_loop_matches_reference`` checks.  The k-server flow,
+    which plans non-uniform metrics, may pick a different, equally good plan
+    when re-solved, so after a later miss the two can diverge there.
     """
     if offline_oracle.gamma != 1.0:
         raise ConfigurationError("run_adaswitch_exact needs an exact offline oracle")

@@ -6,13 +6,17 @@ Every property returns a :class:`PropertyResult`; on failure the ``detail``
 field carries a serialized counterexample sufficient to replay the check by
 hand.  Trial counts scale with the ``scale`` argument so a time budget can
 shrink the default sizes without skipping any property.
+
+Each fast path is checked against the slow exact computation it replaces.
+For the switching loop that is :func:`_reference_run`, the algorithm
+written out with no plan cache, window monitor or Monte Carlo early exit;
+:func:`prop_loop_matches_reference` holds both runners to it end to end.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -30,12 +34,18 @@ from .framework import (
     sequence_distance,
 )
 from .switching import (
+    CONSERVATIVE,
+    ERROR_BASED,
+    PREDICTIVE,
+    REGRET_BASED,
     AdaSwitchConfig,
     OfflineOracle,
     OnlineOracle,
     OnlinePolicy,
     ResolveMonitor,
+    regret_based_switch_check,
     run_adaswitch_exact,
+    run_adaswitch_gamma,
     stream,
     theoretical_bound,
     threshold_table,
@@ -1033,22 +1043,6 @@ def prop_bound_arithmetic(scale: float = 1.0, seed: int = 504) -> PropertyResult
     return PropertyResult("adaswitch/bound-arithmetic", True)
 
 
-@contextmanager
-def _full_mc_mean():
-    """Within the block the gamma runner's Monte Carlo check runs every
-    rollout: the threshold it passes to ``_mc_estimate`` is dropped."""
-    original = switching._mc_estimate
-
-    def full(*args, threshold=None, **kwargs):
-        return original(*args, **kwargs)
-
-    switching._mc_estimate = full
-    try:
-        yield
-    finally:
-        switching._mc_estimate = original
-
-
 class _RandomServerOracle(OnlineOracle, OnlinePolicy):
     """Moves a uniformly random server to each request.  On a line metric
     with coordinates such as 0.1 and 0.7 its costs are not binary
@@ -1100,16 +1094,12 @@ def _mc_windows(rng: random.Random, count: int):
         yield problem, sim, [draw() for _ in range(w)], online, m + 1
 
 
-def prop_mc_early_exit_matches_full(scale: float = 1.0, seed: int = 505,
-                                    trials: int = 4) -> PropertyResult:
-    """Settling the Monte Carlo threshold test early never changes it.
-
-    Directly: ``_mc_estimate`` with a threshold answers ``value >=
-    threshold`` as the full mean does, for thresholds at, one ulp either
-    side of, within the guard band of, and far from a computed mean.  End
-    to end: the gamma runner on random ORRA instances whose windows cross
-    the conservative exit gives the same report and actions as with every
-    rollout run."""
+def prop_mc_early_exit_matches_full(scale: float = 1.0, seed: int = 505) -> PropertyResult:
+    """Settling the Monte Carlo threshold test early never changes it:
+    ``_mc_estimate`` with a threshold answers ``value >= threshold`` as the
+    full mean does, for thresholds at, one ulp either side of, within the
+    guard band of, and far from a computed mean.  End to end, the gamma
+    runner is held to every rollout by :func:`prop_loop_matches_reference`."""
     name = "adaswitch/mc-early-exit-matches-full"
     rng = random.Random(seed)
     for problem, snapshot, window, online, tau in _mc_windows(rng, _scaled(120, scale)):
@@ -1131,33 +1121,6 @@ def prop_mc_early_exit_matches_full(scale: float = 1.0, seed: int = 505,
                     f"{problem.name} window={window} tau={tau} t={t} "
                     f"n={config.monte_carlo_cap} seed={config.seed} "
                     f"mean={mean!r} threshold={thr!r} settled={settled!r}")
-    crossed = 0
-    for trial in range(_scaled(trials, scale)):
-        n, T = rng.choice((2, 3, 4)), rng.randint(220, 300)
-        dens = rng.uniform(0.3, 0.7)
-        epsilon = rng.choice((0.45, 0.55, 0.58))
-        params = orra.OrraParams(n, 2)
-        reqs = _orra_rows(rng, n, T, dens)
-        if trial % 2:  # an unrelated prediction, so the error budget runs out
-            pred = _orra_rows(rng, n, T, dens)
-        else:
-            pred = [tuple(x ^ (rng.random() < 0.1) for x in e) for e in reqs]
-        runs = []
-        for full in (False, True):
-            with _full_mc_mean() if full else nullcontext():
-                report = orra.adaswitch_orra(params, reqs, pred, epsilon,
-                                             seed=seed + trial, monte_carlo_cap=32)
-            runs.append((report.val, report.epochs, report.switch_count,
-                         report.mc_deviation, report.fallback_fired,
-                         report.trajectory.actions))
-        if runs[0] != runs[1]:
-            return PropertyResult(
-                name, False,
-                f"n={n} T={T} epsilon={epsilon} seed={seed + trial} reqs={reqs} "
-                f"pred={pred} early={runs[0][:5]} full={runs[1][:5]}")
-        crossed += len(runs[0][1]) > 1
-    if not crossed:
-        return PropertyResult(name, False, "no run crossed the conservative exit")
     return PropertyResult(name, True)
 
 
@@ -1203,28 +1166,6 @@ def prop_step_values_within_reward_bound(scale: float = 1.0, seed: int = 506,
     return PropertyResult(name, True)
 
 
-class _ReplanEveryPeriod(OfflineOracle):
-    """Exact oracle whose plans are cut to their first action, so the exact
-    runner re-solves at every predictive period instead of following or
-    repairing a cached plan; it keeps the base class's ``repair``, which
-    never repairs.  Window values and monitors come from the wrapped
-    oracle."""
-
-    def __init__(self, inner: OfflineOracle):
-        self.inner = inner
-        self.gamma = inner.gamma
-
-    def solve(self, sim, t0, window):
-        value, actions = self.inner.solve(sim, t0, window)
-        return value, actions[:1]
-
-    def value(self, sim, t0, window):
-        return self.inner.value(sim, t0, window)
-
-    def monitor(self, sim, t0):
-        return self.inner.monitor(sim, t0)
-
-
 class _CountedRepairs(oltq.OhrrOracle):
     """The lead-time oracle, counting the repairs it makes."""
 
@@ -1235,61 +1176,179 @@ class _CountedRepairs(oltq.OhrrOracle):
         return super().repair(sim, t, request, plan)
 
 
-def prop_cached_plan_matches_replan(scale: float = 1.0, seed: int = 507,
-                                    trials: int = 24) -> PropertyResult:
-    """Following a cached plan while the prediction matches, and repairing
-    it after a miss, equals re-solving every predictive period: lead-time
-    (ell 2-10, where repairs must fire), caching and ORRA runs with noisy
-    predictions give the same value, epochs and actions."""
-    name = "adaswitch/cached-plan-matches-replan"
+def _reference_mean(problem: ProblemInstance, snapshot, window: list, online: OnlineOracle,
+                    tau: int, t: int, config: AdaSwitchConfig) -> float:
+    """Mean value of every one of the ``min(t^5, cap)`` rollouts (one for a
+    deterministic policy) of the online policy restarted from ``snapshot``
+    over ``window``."""
+    n = 1 if online.deterministic else min(t ** 5, config.monte_carlo_cap)
+    total = 0.0
+    for j in range(n):
+        sim = snapshot.clone()
+        policy = online.restart(sim, tau - 1)
+        rng = None if online.deterministic else stream(config.seed, "mc", t, j)
+        rollout = 0.0
+        for period, e in enumerate(window, start=tau):
+            rollout += sim.step(period, e, policy.act(period, e, rng))
+        total += rollout
+    return total / n
+
+
+def _reference_run(problem: ProblemInstance, requests, prediction,
+                   offline: OfflineOracle, online: OnlineOracle,
+                   config: AdaSwitchConfig, kind: str) -> tuple:
+    """The switching algorithm written out with no fast path, for
+    ``_run_switching`` to be checked against.  An exact predictive period
+    re-solves the predicted window from its observed request and takes the
+    first action; a conservative period re-solves its window from the
+    phase's snapshot (exact) or runs every Monte Carlo rollout (gamma); a
+    gamma batch grows from one period until its value reaches the batch
+    stop; the regret rule re-solves the predictive phase's window.
+    Returns ``(val, epochs, switch_count, fallback_fired, actions)``."""
+    eta, gamma, L = online.eta, offline.gamma, problem.reward_bound
+    thr = threshold_table(config, problem.objective, kind, eta, gamma, L)
+    cap = config.c / config.b
+    regret = config.switching_mode == REGRET_BASED
+    horizon = requests.effective_length
+    sim = problem.new_simulator()
+    conservative, tau = True, 1
+    val, switches, fallback = 0.0, 0, False
+    epochs: list = []
+    actions: list = []
+    for t in range(1, horizon + 1):
+        e = requests.at(t)
+        if conservative:
+            if t == tau:
+                snapshot, window, phase_val = sim.clone(), [], 0.0
+                policy = online.restart(sim, tau - 1)
+                epochs.append((tau, CONSERVATIVE))
+            rng = None if online.deterministic else stream(config.seed, "online", tau, t)
+            a = policy.act(t, e, rng)
+        else:
+            e_pred = prediction.at(t)
+            hp = max(problem.estimate_m(t, prediction), t)
+            if kind == "exact":
+                a = offline.solve(sim.clone(), t, [e] + prediction.window(t + 1, hp))[1][0]
+            else:
+                if t == batch_end + 1 and not fallback_phase:
+                    for end in range(t, hp + 1):
+                        value, batch = offline.solve(
+                            sim.clone(), t, [e] + prediction.window(t + 1, end))
+                        if value >= thr.batch_stop:
+                            batch_start, batch_end = t, end
+                            break
+                    else:
+                        fallback = fallback_phase = True
+                a = (problem.action_space(t, e)[0] if fallback_phase
+                     else batch[t - batch_start])
+        r = sim.step(t, e, a)
+        actions.append(a)
+        val += r
+        phase_val += r
+        if conservative:
+            window.append(e)
+            if kind == "exact":
+                s = offline.solve(snapshot.clone(), tau, window)[0]
+            else:
+                s = _reference_mean(problem, snapshot, window, online, tau, t, config)
+            ok = s >= thr.conservative_exit
+            if ok and thr.needs_opt_estimate:
+                ok = offline.solve(snapshot.clone(), tau, window)[0] >= gamma
+            if ok and t < horizon:
+                conservative, phi, phase_val = False, 0.0, 0.0
+                batch_end, fallback_phase = t, False
+                phase_snapshot, phase_window = sim.clone(), []
+                epochs.append((t + 1, PREDICTIVE))
+        else:
+            phi += min(problem.distance_fn(e, e_pred), cap)
+            if regret:
+                phase_window.append(e)
+                phase_opt = offline.solve(phase_snapshot.clone(), epochs[-1][0],
+                                          phase_window)[0]
+                revert = regret_based_switch_check(eta, config.epsilon, config.c, L,
+                                                   phase_opt, phase_val)
+            else:
+                revert = phi >= thr.predictive_exit
+            if revert:
+                switches += 1
+                conservative, tau = True, t + 1
+    return val, tuple(epochs), switches, fallback, tuple(actions)
+
+
+def prop_loop_matches_reference(scale: float = 1.0, seed: int = 507,
+                                trials: int = 48) -> PropertyResult:
+    """``_run_switching``, with its cached and repaired plans, window
+    monitors and Monte Carlo early exit, gives the value, epochs, switch
+    count, fallback flag and actions of :func:`_reference_run`: lead-time
+    runs in both switching modes (where repairs must fire), uniform caching
+    and ORRA under both runners, prediction noise from none to total, and
+    predictions that end early.  Every (application, runner) pair must reach
+    the predictive state, except caching under the gamma runner, whose
+    conservative exit (about 1000) these horizons cannot reach."""
+    name = "adaswitch/loop-matches-reference"
     rng = random.Random(seed)
-    replanned = repairs = 0
+    cases = (("oltq", "exact", ERROR_BASED), ("oltq", "exact", REGRET_BASED),
+             ("caching", "exact", ERROR_BASED), ("caching", "gamma", ERROR_BASED),
+             ("orra", "exact", ERROR_BASED), ("orra", "gamma", ERROR_BASED))
+    reached = {(app, kind): False for app, kind, _ in cases}
+    del reached["caching", "gamma"]
+    repairs = 0
     for trial in range(_scaled(trials, scale)):
-        app = ("oltq", "caching", "orra")[trial % 3]
-        T = rng.randint(40, 90)
-        noise = rng.uniform(0.0, 0.3)
+        app, kind, mode = cases[trial % len(cases)]
+        T = rng.randint(40, 90) + (30 if kind == "gamma" else 0)
+        noise = rng.choice((0.0, 0.1, 0.3, 1.0))
+        cut = rng.randint(T // 2, T) if rng.random() < 0.3 else T  # prediction ends early
         if app == "oltq":
             ell = rng.randint(2, 10)
             problem = oltq.problem_instance(ell)
             arrivals = [rng.randint(0, ell) for _ in range(T)]
-            noisy = [a if rng.random() > noise else rng.randint(0, ell) for a in arrivals]
-            reqs, pred = oltq.make_requests(ell, arrivals), oltq.make_requests(ell, noisy)
+            noisy = [a if rng.random() >= noise else rng.randint(0, ell) for a in arrivals]
+            reqs = oltq.make_requests(ell, arrivals)
+            pred = oltq.make_requests(ell, noisy[:cut])
             offline, online = _CountedRepairs(), oltq.QFracStarOracle(ell)
         elif app == "caching":
             metric = ks.MetricSpace.uniform([f"p{j}" for j in range(rng.randint(3, 5))])
             problem = ks.problem_instance(metric, ks.ServerConfig(metric.points[:2]))
             points = [rng.choice(metric.points) for _ in range(T)]
-            noisy = [e if rng.random() > noise else rng.choice(metric.points)
+            noisy = [e if rng.random() >= noise else rng.choice(metric.points)
                      for e in points]
-            reqs, pred = ks.make_requests(points), ks.make_requests(noisy)
+            reqs, pred = ks.make_requests(points), ks.make_requests(noisy[:cut])
             offline, online = ks.KserverOfflineOracle(metric), ks.MarkingOracle(metric, 2)
         else:
             params = orra.OrraParams(rng.randint(2, 3), 2)
             problem = orra.problem_instance(params)
             rows = _orra_rows(rng, params.n, T, rng.uniform(0.4, 0.9))
-            noisy = [e if rng.random() > noise else tuple(1 - x for x in e) for e in rows]
-            reqs, pred = orra.make_requests(params, rows), orra.make_requests(params, noisy)
+            noisy = [e if rng.random() >= noise else tuple(1 - x for x in e) for e in rows]
+            reqs = orra.make_requests(params, rows)
+            pred = orra.make_requests(params, noisy[:cut])
             offline, online = orra.OrraDpOracle(params), orra.PrrStarOracle(params)
-        # b = c = 1 keeps the exit thresholds low enough for short horizons.
+        # b = c = 1 keeps the exit thresholds low enough for short horizons;
+        # the gamma runner's conservative exit 48 * eta / epsilon needs
+        # epsilon near eta.
         if problem.objective == MAXIMIZE:
-            epsilon = rng.uniform(0.3, 0.9) * online.eta
+            epsilon = rng.uniform(0.3 if kind == "exact" else 0.8, 0.95) * online.eta
         else:
             epsilon = 3 * online.eta
-        config = AdaSwitchConfig(epsilon, 1.0, 1.0, seed=seed + trial)
-        runs = []
-        for oracle in (offline, _ReplanEveryPeriod(offline)):
-            report = run_adaswitch_exact(problem, reqs, pred, oracle, online, config)
-            runs.append((report.val, report.epochs, report.trajectory.actions))
-        if runs[0] != runs[1]:
+        alpha = 3.0 if problem.objective == MAXIMIZE else 16.0
+        config = AdaSwitchConfig(epsilon, 1.0, 1.0, alpha=alpha, seed=seed + trial,
+                                 monte_carlo_cap=rng.randint(2, 6), switching_mode=mode)
+        runner = run_adaswitch_exact if kind == "exact" else run_adaswitch_gamma
+        report = runner(problem, reqs, pred, offline, online, config)
+        loop = (report.val, report.epochs, report.switch_count,
+                report.fallback_fired, report.trajectory.actions)
+        reference = _reference_run(problem, reqs, pred, offline, online, config, kind)
+        if loop != reference:
             return PropertyResult(
                 name, False,
-                f"{problem.name} reqs={reqs.items} pred={pred.items} "
-                f"epsilon={config.epsilon} seed={config.seed} cached={runs[0][:2]} "
-                f"replanned={runs[1][:2]}")
-        replanned += len(runs[0][1]) > 1
+                f"{problem.name} {kind} {mode} reqs={reqs.items} pred={pred.items} "
+                f"epsilon={epsilon} seed={config.seed} cap={config.monte_carlo_cap} "
+                f"loop={loop[:4]} reference={reference[:4]}")
+        if (app, kind) in reached:
+            reached[app, kind] |= len(report.epochs) > 1
         repairs += getattr(offline, "repairs", 0)
-    if not replanned:
-        return PropertyResult(name, False, "no run reached the predictive state")
+    never = [f"{app}-{kind}" for (app, kind), hit in reached.items() if not hit]
+    if never:
+        return PropertyResult(name, False, f"never reached the predictive state: {never}")
     if not repairs:
         return PropertyResult(name, False, "no lead-time run repaired its plan")
     return PropertyResult(name, True)
@@ -1336,7 +1395,7 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_bound_arithmetic,
         prop_mc_early_exit_matches_full,
         prop_step_values_within_reward_bound,
-        prop_cached_plan_matches_replan,
+        prop_loop_matches_reference,
     ],
 }
 

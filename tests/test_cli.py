@@ -64,6 +64,14 @@ class TestRun:
                             and r["sweep_value"] == sweep]
                 assert len(matching) == 3
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_seeds_override_must_select_a_seed(self, spec_file, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--spec", spec_file, "--out", str(out),
+                         "--seeds", count]) == 1
+        assert f"--seeds {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, spec_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["run", "--spec", spec_file, "--out", str(out_a),

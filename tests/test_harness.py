@@ -120,7 +120,7 @@ class TestSpecParsing:
             harness.parse_spec(text)
 
     @pytest.mark.parametrize("line", ["ell abc", "algorithm.epsilon x", "p nan",
-                                      "grid 0.2 x", "seeds 1 x"])
+                                      "grid 0.2 x", "seeds 1 x", "ell 2.7"])
     def test_bad_value_is_parse_error_with_line(self, tmp_path, line):
         text = SMALL_SPEC + line + "\n"
         lineno = len(text.splitlines())
@@ -150,6 +150,22 @@ class TestSpecParsing:
             lineno = len(text.splitlines())
             with pytest.raises(ValueError, match=f"line {lineno}: unknown spec key {key}"):
                 harness.parse_spec(text)
+
+    def test_counts_read_integral_floats(self):
+        for text, T in (("T 15000", 15000), ("T 1e4", 10000)):
+            spec = harness.parse_spec(SMALL_SPEC + text + "\n")
+            assert spec.params["T"] == T and isinstance(spec.params["T"], int)
+
+    @pytest.mark.parametrize("line", ["seeds 0", "seeds -3", "seeds"])
+    def test_empty_seed_list_rejected(self, tmp_path, line):
+        text = SMALL_SPEC + line + "\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"line {lineno}: seeds .* select no seed"):
+            harness.parse_spec(text)
+        path = tmp_path / "empty.spec"
+        path.write_text(text)
+        assert cli.main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):

@@ -22,7 +22,7 @@ from adaswitch.framework import InvalidActionError
 from adaswitch.switching import OnlineOracle, OnlinePolicy, _mc_estimate, stream
 from adaswitch.validation import (
     prop_bound_arithmetic,
-    prop_cached_plan_matches_replan,
+    prop_loop_matches_reference,
     prop_mc_early_exit_matches_full,
     prop_predictive_phase_regret,
     prop_step_values_within_reward_bound,
@@ -72,6 +72,12 @@ class TestConfigValidation:
             with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
                 validate_config(AdaSwitchConfig(**fields), objective, "gamma",
                                 eta=0.5, gamma=1.0)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_monte_carlo_cap_below_one(self, cap):
+        with pytest.raises(ConfigurationError, match=f"^monte_carlo_cap .* got {cap}$"):
+            orra.adaswitch_orra(orra.OrraParams(2, 2), [(1, 1)] * 4, [(1, 1)] * 4,
+                                epsilon=0.2, monte_carlo_cap=cap)
 
     def test_reward_runner_rejects_nan_epsilon(self):
         config = AdaSwitchConfig(epsilon=math.nan, b=1.0, c=3.0)
@@ -329,8 +335,8 @@ class TestExactRunner:
     def test_predictive_phase_property(self):
         assert prop_predictive_phase_regret().ok
 
-    def test_cached_plan_property(self):
-        assert prop_cached_plan_matches_replan().ok
+    def test_loop_matches_reference_property(self):
+        assert prop_loop_matches_reference().ok
 
     def test_epochs_alternate_starting_conservative(self):
         rng = random.Random(5)
