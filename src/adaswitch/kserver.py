@@ -8,10 +8,11 @@ farthest-in-future rule in O(W k), and any other metric by reducing the
 window to a minimum-cost maximum-flow over server-to-request chains, kept
 as plain arc lists that the successive-shortest-path solver updates in
 place; the switching runner needs a plan only when it replans.  The
-conservative monitor, and the whole-horizon optimum on non-uniform
-metrics, come from the work function instead, one table layer per request,
+conservative monitor and the whole-horizon optimum come from a running
+value instead: greedy interval packing on a uniform metric, one step per
+request, and the work function on any other, one table layer per request,
 with the exact solver as the fallback where the work function would cost
-more; Belady gives the whole-horizon optimum of a uniform metric directly.
+more.
 Two online policies are provided: the work function algorithm for general
 metrics and the randomized marking rule for the uniform metric, both
 restartable from any mid-stream configuration because a conditioned
@@ -45,6 +46,7 @@ from .switching import (
     OfflineOracle,
     OnlineOracle,
     OnlinePolicy,
+    ResolveMonitor,
     WindowMonitor,
     theoretical_bound,
 )
@@ -234,12 +236,11 @@ def offline_kserver(metric: MetricSpace, positions: Sequence[str],
     """Exact minimum service cost for the window from the given positions,
     with a plan that attains it: Belady's rule on a uniform metric, the
     minimum-cost flow on any other.  Empty-request periods get server 1.
-    The cost is the plan replayed through the simulator, so it is
-    accumulated exactly."""
+    Belady's cost is its count of misses, each a unit move; the flow's is
+    its plan replayed through the simulator, so it is accumulated exactly."""
     if metric.uniform_flag:
-        actions = _belady_plan(positions, window)
-    else:
-        actions = _flow_plan(metric, positions, window)
+        return _belady_plan(positions, window)
+    actions = _flow_plan(metric, positions, window)
     sim = KserverSimulator(metric, positions)
     cost = 0.0
     for i, e in enumerate(window):
@@ -247,14 +248,17 @@ def offline_kserver(metric: MetricSpace, positions: Sequence[str],
     return cost, actions
 
 
-def _belady_plan(positions: Sequence[str], window: Sequence[Any]) -> list[int]:
+def _belady_plan(positions: Sequence[str],
+                 window: Sequence[Any]) -> tuple[float, list[int]]:
     """Farthest-in-future paging (Belady 1966), optimal when every move
-    costs 1.  A hit goes to the lowest-index server on the point; a miss
-    moves the server whose point is needed farthest ahead, counting a point
-    never needed again, and every copy of a point after its lowest-index
-    server, as infinitely far; ties go to the lowest index.  Each choice
-    depends only on the servers' points and the rest of the window, so a
-    replan along the same window reproduces the plan's suffix."""
+    costs 1, with its cost: 1.0 per miss, since a miss moves a server to a
+    point that no server holds.  A hit goes to the lowest-index server on
+    the point; a miss moves the server whose point is needed farthest
+    ahead, counting a point never needed again, and every copy of a point
+    after its lowest-index server, as infinitely far; ties go to the lowest
+    index.  Each choice depends only on the servers' points and the rest of
+    the window, so a replan along the same window reproduces the plan's
+    suffix."""
     k = len(positions)
     actions = [1] * len(window)
     nxt = [math.inf] * len(window)
@@ -271,11 +275,13 @@ def _belady_plan(positions: Sequence[str], window: Sequence[Any]) -> list[int]:
         if p not in holder:
             holder[p] = s
             due[s] = first.get(p, math.inf)
+    cost = 0.0
     for i, e in enumerate(window):
         if e is BOT:
             continue
         s = holder.get(e)
         if s is None:
+            cost += 1.0
             s = max(range(k), key=due.__getitem__)
             if holder.get(points[s]) == s:
                 del holder[points[s]]
@@ -283,7 +289,7 @@ def _belady_plan(positions: Sequence[str], window: Sequence[Any]) -> list[int]:
             points[s] = e
         due[s] = nxt[i]
         actions[i] = s + 1
-    return actions
+    return cost, actions
 
 
 def _flow_plan(metric: MetricSpace, positions: Sequence[str],
@@ -369,10 +375,10 @@ def _flow_plan(metric: MetricSpace, positions: Sequence[str],
 
 class KserverOfflineOracle(OfflineOracle):
     """Plans from :func:`offline_kserver` (Belady on uniform metrics, the
-    flow elsewhere).  Whole-window values come from Belady on uniform
-    metrics; the window monitor, and whole-window values on other metrics,
-    come from the work function where it is cheaper (see
-    :class:`WorkFunctionMonitor`), from re-solving elsewhere."""
+    flow elsewhere).  The window monitor, and whole-window values, come from
+    :class:`PagingMonitor` on uniform metrics, from the work function on
+    others where it is cheaper (see :class:`WorkFunctionMonitor`), and from
+    re-solving elsewhere."""
 
     gamma = 1.0
 
@@ -389,17 +395,52 @@ class KserverOfflineOracle(OfflineOracle):
         return configs ** 2 * math.factorial(k) <= _WORK_FUNCTION_MAX_STEP
 
     def monitor(self, sim: Simulator, t0: int) -> WindowMonitor:
+        if self.metric.uniform_flag:
+            return PagingMonitor(sim.positions)
         if self._work_function_fits(len(sim.positions)):
             return WorkFunctionMonitor(self.metric, sim.positions)
         return super().monitor(sim, t0)
 
     def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
-        if self.metric.uniform_flag or not self._work_function_fits(len(sim.positions)):
+        monitor = self.monitor(sim, t0)
+        if isinstance(monitor, ResolveMonitor):
             return super().value(sim, t0, window)
-        monitor = WorkFunctionMonitor(self.metric, sim.positions)
-        for i, e in enumerate(window):
-            monitor.append(t0 + i, e)
+        for t, e in enumerate(window, start=t0):
+            monitor.append(t, e)
         return monitor.value
+
+
+class PagingMonitor(WindowMonitor):
+    """Window optimum on a uniform metric (caching): the fewest misses.  A
+    hit on page p at period i keeps p cached over the open interval (j, i),
+    where j is p's previous request, or t0 - 1 for a start page; a set of
+    hits can be realized iff fewer than k kept pages span each request
+    period and at most k span each empty one.  Intervals arrive in order of
+    their right ends, where accepting each one that fits is optimal
+    (Carlisle and Lloyd 1995), so an append is one greedy step in
+    O(reuse distance) and no earlier choice changes."""
+
+    def __init__(self, positions: Sequence[str]):
+        self.k = len(positions)
+        self.last = {p: -1 for p in positions}  # latest request, as a window index
+        self.free: list[int] = []  # room left for kept pages at each period
+        self.value = 0.0
+
+    def append(self, t: int, request: Any) -> float:
+        free = self.free
+        if request is BOT:
+            free.append(self.k)
+            return self.value
+        i = len(free)
+        j = self.last.get(request)
+        if j is not None and 0 not in free[j + 1:i]:
+            for r in range(j + 1, i):
+                free[r] -= 1
+        else:
+            self.value += 1.0
+        self.last[request] = i
+        free.append(self.k - 1)
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +527,11 @@ class WorkFunctionTable:
 
 # Largest work per request, C(n+k-2, k-1)^2 * k! (configurations covering
 # the request, times those covering the previous one, times the matchings
-# tried), for which the work-function monitor is used.  On 60-request
-# uniform windows it matched re-solving the flow on every append at
-# 1600-3000 for k = 2..5 (see CHANGES.md); beyond that the flow is cheaper.
+# tried), for which the work-function monitor is used.  It governs
+# non-uniform metrics only, since uniform ones use PagingMonitor.  On
+# 60-request uniform windows the work function matched re-solving the flow
+# on every append at 1600-3000 for k = 2..5 (see CHANGES.md); beyond that
+# the flow is cheaper.
 _WORK_FUNCTION_MAX_STEP = 2000
 
 

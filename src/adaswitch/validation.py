@@ -699,30 +699,38 @@ def prop_kserver_constants(scale: float = 1.0, seed: int = 306,
     return PropertyResult("kserver/constants", True)
 
 
-def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
-                                      trials: int = 40) -> PropertyResult:
-    """The oracle's window monitor and whole-window value equal the exact
-    solver's optimum on every prefix: exactly on uniform metrics (empty
-    requests included), within 1e-9 on general metrics, and also where the
-    oracle falls back to re-solving (k = 7).  On uniform metrics the value
-    comes from Belady, so it must also equal the work-function minimum
-    exactly wherever the monitor is the work function."""
-    name = "kserver/monitor-matches-flow"
+def prop_work_function_matches_exact(scale: float = 1.0, seed: int = 307,
+                                     trials: int = 40) -> PropertyResult:
+    """The work function's minimum equals the exact solver's optimum on
+    every prefix: a :class:`WorkFunctionMonitor` driven directly on uniform
+    windows (empty requests included), exactly against Belady; and the
+    oracle's window monitor and whole-window value on random metrics within
+    1e-9, also on a line with k = 7, where the oracle falls back to
+    re-solving."""
+    name = "kserver/work-function-matches-exact"
     rng = random.Random(seed)
-    cases = []  # (metric, positions, window, tolerance, expect the fallback)
+    cases = []  # (metric, positions, window, expect the fallback)
     for trial in range(_scaled(trials, scale)):
         n = rng.randint(2, 5)
         metric = ks.MetricSpace.uniform([f"p{i}" for i in range(n)])
         positions = tuple(rng.choice(metric.points) for _ in range(rng.randint(1, 3)))
         window = [rng.choice(metric.points) if rng.random() < 0.8 else ks.BOT
                   for _ in range(rng.randint(1, 12))]
-        cases.append((metric, positions, window, 0.0, False))
+        monitor = ks.WorkFunctionMonitor(metric, positions)
+        for m in range(1, len(window) + 1):
+            watched = monitor.append(m, window[m - 1])
+            exact, _ = ks.offline_kserver(metric, positions, window[:m])
+            if watched != exact:
+                return PropertyResult(
+                    name, False, f"uniform S={positions} window={window[:m]} "
+                    f"work function={watched!r} belady={exact!r}")
         metric, initial, requests = random_kserver_instance(rng, max_window=10)
-        cases.append((metric, initial.positions, requests, 1e-9, False))
-    metric = ks.MetricSpace.uniform([f"p{i}" for i in range(9)])
-    cases.append((metric, metric.points[:7],
-                  [rng.choice(metric.points) for _ in range(6)] + [ks.BOT], 0.0, True))
-    for metric, positions, window, tol, fallback in cases:
+        cases.append((metric, initial.positions, requests, False))
+    points = [f"p{i}" for i in range(9)]
+    line = ks.MetricSpace(points, [[abs(i - j) / 8 for j in range(9)] for i in range(9)])
+    cases.append((line, line.points[:7],
+                  [rng.choice(line.points) for _ in range(6)] + [ks.BOT], True))
+    for metric, positions, window, fallback in cases:
         oracle = ks.KserverOfflineOracle(metric)
         sim = ks.KserverSimulator(metric, positions)
         monitor = oracle.monitor(sim, 1)
@@ -730,19 +738,51 @@ def prop_kserver_monitor_matches_flow(scale: float = 1.0, seed: int = 307,
             return PropertyResult(
                 name, False, f"k={len(positions)} n={len(metric.points)}: got "
                 f"{type(monitor).__name__}, fallback expected={fallback}")
-        # The uniform value comes from Belady, as does exact: hold it to the
-        # work function too.
-        uniform_wf = metric.uniform_flag and isinstance(monitor, ks.WorkFunctionMonitor)
         for m in range(1, len(window) + 1):
             watched = monitor.append(m, window[m - 1])
             whole = oracle.value(sim.clone(), 1, window[:m])
             exact, _ = ks.offline_kserver(metric, positions, window[:m])
-            if (abs(watched - exact) > tol or abs(whole - exact) > tol
-                    or (uniform_wf and whole != watched)):
+            if abs(watched - exact) > 1e-9 or abs(whole - exact) > 1e-9:
                 return PropertyResult(
                     name, False,
                     f"dist={metric.dist} S={positions} window={window[:m]} "
                     f"monitor={watched!r} value={whole!r} exact={exact!r}")
+    return PropertyResult(name, True)
+
+
+def prop_paging_monitor_matches_belady(scale: float = 1.0, seed: int = 309,
+                                       trials: int = 160) -> PropertyResult:
+    """On uniform metrics the oracle's window monitor, a
+    :class:`PagingMonitor`, and its whole-window value equal Belady's cost
+    exactly on every prefix: n = 2..12, k = 1..8 in turn (past
+    ``_MAX_MATCHING_K``), duplicate start points, starts after a random
+    served prefix (t0 > 1), and interior and trailing empty requests at
+    rates 0, 15% and 50%."""
+    name = "kserver/paging-monitor-matches-belady"
+    rng = random.Random(seed)
+    for trial in range(_scaled(trials, scale)):
+        metric = ks.MetricSpace.uniform([f"p{i}" for i in range(rng.randint(2, 12))])
+        k = trial % 8 + 1
+        sim = ks.KserverSimulator(metric, [rng.choice(metric.points) for _ in range(k)])
+        t0 = rng.randint(1, 30)
+        for t in range(1, t0):
+            sim.step(t, rng.choice(metric.points), rng.randint(1, k))
+        empty = rng.choice((0.0, 0.15, 0.5))
+        window = [ks.BOT if rng.random() < empty else rng.choice(metric.points)
+                  for _ in range(rng.randint(0, 40))] + [ks.BOT] * rng.randint(0, 2)
+        oracle = ks.KserverOfflineOracle(metric)
+        monitor = oracle.monitor(sim, t0)
+        if not isinstance(monitor, ks.PagingMonitor):
+            return PropertyResult(name, False, f"k={k}: got "
+                                  f"{type(monitor).__name__}")
+        for m in range(1, len(window) + 1):
+            watched = monitor.append(t0 + m - 1, window[m - 1])
+            whole = oracle.value(sim.clone(), t0, window[:m])
+            exact, _ = ks.offline_kserver(metric, sim.positions, window[:m], t0)
+            if not watched == whole == exact:
+                return PropertyResult(
+                    name, False, f"S={sim.positions} t0={t0} window={window[:m]} "
+                    f"monitor={watched!r} value={whole!r} belady={exact!r}")
     return PropertyResult(name, True)
 
 
@@ -1379,7 +1419,8 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_wfa_guarantee,
         prop_kserver_prefix_equivalence,
         prop_kserver_constants,
-        prop_kserver_monitor_matches_flow,
+        prop_work_function_matches_exact,
+        prop_paging_monitor_matches_belady,
         prop_kserver_belady_matches_flow,
     ],
     "orra": [

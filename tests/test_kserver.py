@@ -13,11 +13,12 @@ from adaswitch.validation import (
     prop_config_distance_metric,
     prop_kserver_belady_matches_flow,
     prop_kserver_constants,
-    prop_kserver_monitor_matches_flow,
     prop_kserver_offline_exactness,
     prop_kserver_prefix_equivalence,
     prop_lazy_dominance,
+    prop_paging_monitor_matches_belady,
     prop_wfa_guarantee,
+    prop_work_function_matches_exact,
 )
 
 
@@ -97,8 +98,12 @@ class TestOfflineFlow:
 
 
 class TestOracleValues:
-    def test_monitor_matches_flow_property(self):
-        result = prop_kserver_monitor_matches_flow()
+    def test_work_function_matches_exact_property(self):
+        result = prop_work_function_matches_exact()
+        assert result.ok, result.detail
+
+    def test_paging_monitor_matches_belady_property(self):
+        result = prop_paging_monitor_matches_belady()
         assert result.ok, result.detail
 
     def test_work_function_monitor_on_small_instances(self):
@@ -109,6 +114,25 @@ class TestOracleValues:
         values = [monitor.append(t, e) for t, e in enumerate(window, start=1)]
         assert values == [0.0, 0.5, 0.5, 0.5, 1.0]
 
+    @pytest.mark.parametrize("positions, window, expected", [
+        # k = 1: an empty request leaves the page cached, a request of
+        # another page evicts it.
+        (["a"], ["a", BOT, "a", "b", "a"], [0.0, 0.0, 0.0, 1.0, 2.0]),
+        # k = 2: after c evicts one start page, only one of a and b hits.
+        (["a", "b"], ["c", "a", "b"], [1.0, 1.0, 2.0]),
+        # A duplicate start keeps a through b and c; then b misses, and the
+        # trailing empty requests change nothing.
+        (["a", "a"], ["b", "c", "a", BOT, "b", BOT], [1.0, 2.0, 2.0, 2.0, 3.0, 3.0]),
+    ])
+    def test_paging_monitor_by_hand(self, positions, window, expected):
+        m = ks.MetricSpace.uniform(["a", "b", "c"])
+        oracle = ks.KserverOfflineOracle(m)
+        monitor = oracle.monitor(ks.KserverSimulator(m, positions), 4)
+        assert isinstance(monitor, ks.PagingMonitor)
+        values = [monitor.append(t, e) for t, e in enumerate(window, start=4)]
+        assert values == expected
+        assert oracle.value(ks.KserverSimulator(m, positions), 4, window) == expected[-1]
+
     def test_value_matches_flow_on_line(self):
         oracle = ks.KserverOfflineOracle(LINE)
         sim = ks.KserverSimulator(LINE, ["p0"])
@@ -116,11 +140,13 @@ class TestOracleValues:
         assert oracle.value(sim, 1, []) == 0.0
 
     def test_falls_back_to_resolving_when_k_exceeds_matching_limit(self):
-        m = ks.MetricSpace.uniform([f"p{i}" for i in range(8)])
-        oracle = ks.KserverOfflineOracle(m)
-        monitor = oracle.monitor(ks.KserverSimulator(m, m.points[:7]), 1)
+        points = [f"p{i}" for i in range(8)]
+        line = ks.MetricSpace(points, [[abs(i - j) / 8 for j in range(8)]
+                                       for i in range(8)])
+        oracle = ks.KserverOfflineOracle(line)
+        monitor = oracle.monitor(ks.KserverSimulator(line, points[:7]), 1)
         assert isinstance(monitor, ResolveMonitor)
-        assert monitor.append(1, "p7") == 1.0
+        assert monitor.append(1, "p7") == 0.125
 
 
 class TestWorkFunction:

@@ -18,8 +18,21 @@ from adaswitch import (
 )
 from adaswitch import kserver as ks
 from adaswitch import oltq, orra
-from adaswitch.framework import InvalidActionError
-from adaswitch.switching import OnlineOracle, OnlinePolicy, _mc_estimate, stream
+from adaswitch.framework import (
+    MAXIMIZE,
+    InvalidActionError,
+    ProblemInstance,
+    RequestSequence,
+    Simulator,
+)
+from adaswitch.switching import (
+    OfflineOracle,
+    OnlineOracle,
+    OnlinePolicy,
+    WindowMonitor,
+    _mc_estimate,
+    stream,
+)
 from adaswitch.validation import (
     prop_bound_arithmetic,
     prop_loop_matches_reference,
@@ -338,6 +351,45 @@ class TestExactRunner:
     def test_loop_matches_reference_property(self):
         assert prop_loop_matches_reference().ok
 
+    def test_no_predictive_epoch_after_the_last_period(self):
+        # Cut a caching run just before its first predictive epoch, so that
+        # it crosses the conservative exit in its final period.
+        rng = random.Random(3)
+        points = [f"p{j}" for j in range(6)]
+        requests = [rng.choice(points) for _ in range(240)]
+        prediction = [e if rng.random() > 0.2 else rng.choice(points) for e in requests]
+        metric = ks.MetricSpace.uniform(points)
+        initial = ks.ServerConfig(("p0", "p1"))
+        full = ks.adaswitch_kse(metric, initial, requests, prediction, variant="caching")
+        first, mode = full.epochs[1]
+        assert mode == "predictive"
+        cut = ks.adaswitch_kse(metric, initial, requests[:first - 1],
+                               prediction[:first - 1], variant="caching")
+        assert cut.epochs == full.epochs[:1]
+
+    def test_regret_revert_counts_the_predictive_phase_only(self):
+        # eta - epsilon = 0.25 and b = c = L = 1, so the conservative exit is
+        # 10cL/epsilon = 40 and the regret threshold 9 - 0.5 - 0.25 = 8.25.
+        # Periods 1-5 pay 1 each and the monitor reports 40 at period 5, so
+        # the run switches.  At period 6 the phase optimum is 40 and the
+        # phase has earned 0: regret 10 reverts.  Counting the conservative
+        # phase's 5 too would give 5, and no revert.
+        problem = ProblemInstance(
+            name="paid", action_space=lambda t, e: [1], reward_bound=1.0,
+            distance_fn=lambda x, y: 0.0 if x == y else 1.0,
+            lipschitz_u=1.0, lipschitz_v=1.0, influence_f=1.0, objective=MAXIMIZE,
+            simulator_factory=_PaidSimulator,
+            estimate_m=lambda i, prediction: max(i, prediction.effective_length))
+        requests = RequestSequence(["paid"] * 5 + ["free"] * 3, null_request=None)
+        config = AdaSwitchConfig(epsilon=0.25, b=1.0, c=1.0,
+                                 switching_mode="regret-based")
+        report = run_adaswitch_exact(problem, requests, requests,
+                                     _ScriptedOracle({5: 40.0, 6: 40.0}),
+                                     _FixedActionOracle(0.5, 1), config)
+        assert report.epochs == ((1, "conservative"), (6, "predictive"),
+                                 (7, "conservative"))
+        assert report.switch_count == 1
+
     def test_epochs_alternate_starting_conservative(self):
         rng = random.Random(5)
         for seed in range(20):
@@ -451,6 +503,39 @@ class _FixedActionOracle(OnlineOracle, OnlinePolicy):
 
     def act(self, t, request, rng):
         return self.action
+
+
+class _PaidSimulator(Simulator):
+    """Pays 1 for a "paid" request and nothing for any other."""
+
+    def step(self, t, request, action):
+        return 1.0 if request == "paid" else 0.0
+
+    def clone(self):
+        return self
+
+
+class _ScriptedMonitor(WindowMonitor):
+    def __init__(self, script):
+        self.script = script
+
+    def append(self, t, request):
+        return self.script.get(t, 0.0)
+
+
+class _ScriptedOracle(OfflineOracle):
+    """Exact offline oracle for ``_PaidSimulator`` whose window monitors,
+    conservative and predictive alike, report ``script[t]`` at period
+    ``t`` and 0 elsewhere."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def solve(self, sim, t0, window):
+        return float(window.count("paid")), [1] * len(window)
+
+    def monitor(self, sim, t0):
+        return _ScriptedMonitor(self.script)
 
 
 def _oltq_case():
