@@ -98,8 +98,14 @@ class RequestSequence:
         return self.null_request
 
     def window(self, i: int, j: int) -> list[Any]:
-        """Requests of periods ``i..j`` inclusive as a list."""
-        return [self.at(t) for t in range(i, j + 1)]
+        """Requests of periods ``i..j`` inclusive as a list; empty when
+        ``j < i``."""
+        if j < i:
+            return []
+        if i < 1:
+            raise IndexError(f"period {i} out of range")
+        stored = list(self.items[i - 1:j])
+        return stored + [self.null_request] * (j - i + 1 - len(stored))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RequestSequence):
@@ -300,8 +306,11 @@ def sequence_distance(problem: ProblemInstance, a: RequestSequence,
     Totals run over the longer of the two stored supports; unmatched trailing
     positions compare against the null request.  ``cap`` clips each period's
     contribution for the capped total (the prediction-error accountancy used
-    by the switching thresholds).
+    by the switching thresholds).  A sequence against itself is zero
+    without a walk, since ``distance_fn`` is zero on identical requests.
     """
+    if a is b:
+        return DistanceProfile(raw_total=0.0, capped_total=0.0)
     n = max(len(a.items), len(b.items))
     raw = 0.0
     capped = 0.0

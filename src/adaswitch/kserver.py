@@ -46,7 +46,6 @@ from .switching import (
     OfflineOracle,
     OnlineOracle,
     OnlinePolicy,
-    ResolveMonitor,
     WindowMonitor,
     theoretical_bound,
 )
@@ -400,14 +399,6 @@ class KserverOfflineOracle(OfflineOracle):
         if self._work_function_fits(len(sim.positions)):
             return WorkFunctionMonitor(self.metric, sim.positions)
         return super().monitor(sim, t0)
-
-    def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
-        monitor = self.monitor(sim, t0)
-        if isinstance(monitor, ResolveMonitor):
-            return super().value(sim, t0, window)
-        for t, e in enumerate(window, start=t0):
-            monitor.append(t, e)
-        return monitor.value
 
 
 class PagingMonitor(WindowMonitor):

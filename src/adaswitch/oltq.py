@@ -10,12 +10,12 @@ of the same slot earn nothing.  Requests are arrival counts in
 The exact offline scheduler, ``OhrrMonitor``, sweeps slots in increasing
 order, one period per call, and always serves the freshest pending order
 (the one with the highest remaining revenue).  The conservative monitor
-reads its running value and ``ohrr_star`` drives it over a whole window to
-record the plan.  Because later orders are served first, a switching run
-repairs its plan after a prediction miss in O(ell) instead of re-solving
-the rest of the horizon.  The online policy quotes only the fraction of
-each period's arrivals whose revenue clears a threshold tied to the
-policy's competitive ratio.
+and every whole-horizon optimum read its running value; ``ohrr_star``
+drives it over a window only to record a plan.  Because later orders are
+served first, a switching run repairs its plan after a prediction miss in
+O(ell) instead of re-solving the rest of the horizon.  The online policy
+quotes only the fraction of each period's arrivals whose revenue clears a
+threshold tied to the policy's competitive ratio.
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def run_qfrac_baseline(ell: int, requests, seed: int = 0) -> CompetitiveReport:
         log[2].append(r)
         total += r
     traj = Trajectory(tuple(log[0]), tuple(log[1]), tuple(log[2]))
-    opt, _ = ohrr_star(OltqSimulator(ell), 1,
-                       requests.window(1, requests.effective_length))
+    opt = OhrrOracle().value(OltqSimulator(ell), 1,
+                             requests.window(1, requests.effective_length))
     return CompetitiveReport(
         seed=seed, variant="qfrac-star",
         epsilon=0.0, b=1.0, c=float(ell + 1), alpha=None,
@@ -404,8 +404,8 @@ def strengthened_adaswitch_oltq(ell: int, requests, prediction, gamma: float,
         raise ValueError(f"gamma must lie in (0, eta={eta:.6g}), got {gamma}")
     requests = make_requests(ell, requests)
     prediction = make_requests(ell, prediction)
-    opt_pred, _ = ohrr_star(OltqSimulator(ell), 1,
-                            prediction.window(1, prediction.effective_length))
+    opt_pred = OhrrOracle().value(OltqSimulator(ell), 1,
+                                  prediction.window(1, prediction.effective_length))
     a_gamma = alpha_of_gamma(ell, gamma)
     if a_gamma >= 1.0:
         threshold = math.inf

@@ -183,7 +183,9 @@ def _check_preconditions(theorem: str, eta: float, epsilon: float, b: float,
 
 
 class WindowMonitor:
-    """Running hindsight optimum of the window that started at ``t0``."""
+    """Running hindsight optimum of the window that started at ``t0``: a
+    fresh monitor fed a window period by period returns, at each
+    ``append``, the optimum of the window so far."""
 
     def append(self, t: int, request: Any) -> float:
         raise NotImplementedError
@@ -210,9 +212,11 @@ class OfflineOracle:
 
     ``solve`` returns ``(value, actions)`` for the window starting at
     absolute period ``t0``; ``gamma`` is its approximation guarantee
-    (1.0 for exact oracles).  ``value`` is the same value without the plan,
-    for oracles that can compute it more cheaply.  The simulator passed in
-    may be consumed, except by ``repair``.
+    (1.0 for exact oracles).  ``value`` is the same value without the plan:
+    what the last ``append`` of a fresh ``monitor`` fed the window returns,
+    or ``solve``'s value on an empty window or where the monitor is a
+    ``ResolveMonitor``, which would re-solve every prefix.  The simulator
+    passed in may be consumed, except by ``repair``.
     """
 
     gamma: float = 1.0
@@ -221,6 +225,12 @@ class OfflineOracle:
         raise NotImplementedError
 
     def value(self, sim: Simulator, t0: int, window: Sequence[Any]) -> float:
+        if window:
+            monitor = self.monitor(sim, t0)
+            if not isinstance(monitor, ResolveMonitor):
+                for t, e in enumerate(window, start=t0):
+                    value = monitor.append(t, e)
+                return value
         return self.solve(sim, t0, window)[0]
 
     def repair(self, sim: Simulator, t: int, request: Any, plan: "_Plan") -> Any:

@@ -261,7 +261,9 @@ def prop_observation_iterative_resolve(scale: float = 1.0, seed: int = 104) -> P
 
 def prop_distance_profile(scale: float = 1.0, seed: int = 105) -> PropertyResult:
     """Tightening the cap only lowers the capped total (so it is maximal and
-    equals the raw total once the cap clears every per-period distance)."""
+    equals the raw total once the cap clears every per-period distance).  A
+    sequence against itself, which skips the walk, gives what the walk over
+    an equal but distinct copy (with extra trailing nulls) gives."""
     rng = random.Random(seed)
     for trial in range(_scaled(40, scale)):
         ell = rng.randint(2, 5)
@@ -269,6 +271,13 @@ def prop_distance_profile(scale: float = 1.0, seed: int = 105) -> PropertyResult
         a = oltq.make_requests(ell, [rng.randint(0, ell) for _ in range(6)])
         b = oltq.make_requests(ell, [rng.randint(0, ell) for _ in range(rng.randint(3, 8))])
         caps = sorted(rng.uniform(0, ell + 1) for _ in range(3))
+        copy = oltq.make_requests(ell, list(a.items) + [0] * rng.randint(0, 3))
+        for c in caps + [None]:
+            same = sequence_distance(problem, a, a, cap=c)
+            walked = sequence_distance(problem, a, copy, cap=c)
+            if same != walked:
+                return PropertyResult("framework/distance-profile", False,
+                                      f"a={a} cap={c} itself={same} copy={walked}")
         totals = [sequence_distance(problem, a, b, cap=c).capped_total for c in caps]
         raw = sequence_distance(problem, a, b).raw_total
         if any(totals[i] > totals[i + 1] + 1e-9 for i in range(len(totals) - 1)) \
@@ -1206,6 +1215,65 @@ def prop_step_values_within_reward_bound(scale: float = 1.0, seed: int = 506,
     return PropertyResult(name, True)
 
 
+def prop_oracle_value_matches_solve(scale: float = 1.0, seed: int = 508,
+                                    trials: int = 200) -> PropertyResult:
+    """``OfflineOracle.value``, the last append of a fresh window monitor
+    (or ``solve`` on an empty window or a ``ResolveMonitor``), equals
+    ``solve``'s value exactly: lead-time with claimed prefixes, t0 > 1,
+    empty windows and trailing zeros; k-server on uniform metrics, on
+    dyadic metrics within the work function's size limit and on a line
+    with k = 7, where the oracle re-solves; and ORRA, which re-solves."""
+    name = "adaswitch/oracle-value-matches-solve"
+    rng = random.Random(seed)
+    seen = set()  # (oracle, monitor) pairs exercised, and empty windows
+    points = [f"p{i}" for i in range(9)]
+    line = ks.MetricSpace(points, [[abs(i - j) / 8 for j in range(9)] for i in range(9)])
+    for trial in range(_scaled(trials, scale)):
+        ell = rng.choice((1, 2, 3, 5, 10))
+        problem = oltq.problem_instance(ell)
+        prefix = random_oltq_prefix(rng, problem, ell, rng.randint(0, ell))
+        window = ([rng.randint(0, ell) for _ in range(rng.randint(0, 3 * ell + 5))]
+                  + [0] * rng.randint(0, ell))
+        cases = [(oltq.OhrrOracle(), problem.new_simulator(prefix), prefix.m + 1, window)]
+
+        metric, initial, requests = random_kserver_instance(rng, max_window=10)
+        if trial % 4 == 0:
+            metric, initial = line, ks.ServerConfig(tuple(line.points[:7]))
+            requests = requests[:6]
+        sim = ks.problem_instance(metric, initial).new_simulator()
+        t0 = rng.randint(1, 4)
+        for t in range(1, t0):
+            sim.step(t, rng.choice(metric.points), rng.randint(1, initial.k))
+        requests = [ks.BOT if rng.random() < 0.2 else e for e in requests]
+        cases.append((ks.KserverOfflineOracle(metric), sim, t0,
+                      requests[:rng.randint(0, len(requests))]))
+
+        params = orra.OrraParams(rng.randint(1, 3), rng.randint(1, 3))
+        orra_problem = orra.problem_instance(params)
+        orra_prefix = random_orra_prefix(rng, orra_problem, params.n) if trial % 2 else None
+        cases.append((orra.OrraDpOracle(params), orra_problem.new_simulator(orra_prefix),
+                      (orra_prefix.m if orra_prefix else 0) + 1,
+                      random_orra_requests(rng, params.n, rng.randint(0, 8))))
+
+        for oracle, sim, t0, window in cases:
+            seen.add((type(oracle).__name__, type(oracle.monitor(sim.clone(), t0)).__name__))
+            seen.add((type(oracle).__name__, bool(window)))
+            expected, _ = oracle.solve(sim.clone(), t0, window)
+            got = oracle.value(sim, t0, window)
+            if got != expected:
+                return PropertyResult(
+                    name, False, f"{type(oracle).__name__} t0={t0} window={window} "
+                    f"value={got!r} solve={expected!r}")
+    wanted = {("OhrrOracle", "OhrrMonitor"), ("KserverOfflineOracle", "PagingMonitor"),
+              ("KserverOfflineOracle", "WorkFunctionMonitor"),
+              ("KserverOfflineOracle", "ResolveMonitor"), ("OrraDpOracle", "ResolveMonitor")}
+    wanted |= {(oracle, empty) for oracle in ("OhrrOracle", "KserverOfflineOracle",
+                                              "OrraDpOracle") for empty in (False, True)}
+    if wanted - seen:
+        return PropertyResult(name, False, f"never exercised: {sorted(wanted - seen, key=str)}")
+    return PropertyResult(name, True)
+
+
 class _CountedRepairs(oltq.OhrrOracle):
     """The lead-time oracle, counting the repairs it makes."""
 
@@ -1436,6 +1504,7 @@ SUITES: dict[str, list[Callable[..., PropertyResult]]] = {
         prop_bound_arithmetic,
         prop_mc_early_exit_matches_full,
         prop_step_values_within_reward_bound,
+        prop_oracle_value_matches_solve,
         prop_loop_matches_reference,
     ],
 }

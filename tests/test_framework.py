@@ -40,6 +40,15 @@ class TestRequestSequence:
         assert seq.effective_length == 3
         assert seq.window(1, 4) == [2, 0, 0, 0]
 
+    def test_window_edges(self):
+        seq = RequestSequence([1, 0, 2], null_request=0)
+        assert seq.window(2, 5) == [0, 2, 0, 0]
+        assert seq.window(6, 7) == [0, 0]
+        assert seq.window(3, 2) == []
+        assert seq.window(0, -1) == []
+        with pytest.raises(IndexError, match="period 0 out of range"):
+            seq.window(0, 2)
+
     def test_declared_length_cannot_cut_support(self):
         with pytest.raises(ValueError):
             RequestSequence([0, 5], null_request=0, effective_length=1)

@@ -269,6 +269,41 @@ class TestStrengthened:
             oltq.strengthened_adaswitch_oltq(2, [1], [1], gamma=0.9)
 
 
+class TestWorkCounts:
+    """Whole-horizon optima come from the window monitor, so ``ohrr_star``
+    runs only to build a plan; a value that silently builds one fails here."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        starts = []
+        real = oltq.ohrr_star
+
+        def counted(sim, t0, window):
+            starts.append(t0)
+            return real(sim, t0, window)
+
+        monkeypatch.setattr(oltq, "ohrr_star", counted)
+        return starts
+
+    def test_qfrac_baseline_builds_no_plan(self, solves):
+        report = oltq.run_qfrac_baseline(3, [3, 1, 2, 0, 3] * 20)
+        assert report.opt > 0
+        assert solves == []
+
+    @pytest.mark.parametrize("run", [
+        lambda ell, arrivals: oltq.adaswitch_oltq(ell, arrivals, arrivals, epsilon=0.3),
+        lambda ell, arrivals: oltq.strengthened_adaswitch_oltq(ell, arrivals, arrivals,
+                                                               gamma=0.55, Z=4),
+    ], ids=["adaswitch", "strengthened"])
+    def test_perfect_prediction_solves_one_plan_per_predictive_phase(self, solves, run):
+        ell = 20
+        report = run(ell, [ell] * 6000)
+        assert "branch-fallback" not in report.flags
+        starts = [t for t, mode in report.epochs if mode == "predictive"]
+        assert len(starts) == 1 and starts[0] > 1
+        assert solves == starts
+
+
 class TestInstanceFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "inst.txt"

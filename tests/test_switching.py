@@ -37,6 +37,7 @@ from adaswitch.validation import (
     prop_bound_arithmetic,
     prop_loop_matches_reference,
     prop_mc_early_exit_matches_full,
+    prop_oracle_value_matches_solve,
     prop_predictive_phase_regret,
     prop_step_values_within_reward_bound,
     prop_switch_count_bound,
@@ -262,6 +263,12 @@ class TestMonteCarlo:
 
     def test_step_values_within_reward_bound_property(self):
         assert prop_step_values_within_reward_bound().ok
+
+
+class TestOracleValue:
+    def test_value_matches_solve_property(self):
+        result = prop_oracle_value_matches_solve()
+        assert result.ok, result.detail
 
 
 class TestRegretBasedRule:
